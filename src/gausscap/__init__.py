@@ -11,7 +11,6 @@ Library layout:
 * :mod:`gausscap.cli`            -- the ``gausscap`` command
 """
 
-from ._kernels import BACKEND
 from .capacity import (
     CapacityResult,
     PowerAllocation,

@@ -1,25 +1,16 @@
-"""Elementwise numerical kernels with a selectable numpy/numba backend.
+"""Elementwise numerical kernels.
 
 Two loops dominate profile time outside of LAPACK calls: the bosonic entropy
 function applied over arrays, and the squared-Jacobi-polynomial series of the
-spectral density.  Both ship in two variants: a compiled numba version and a
-vectorized pure-numpy version.  Selection happens once at import through the
-environment variable ``GAUSSCAP_BACKEND``:
-
-* ``auto`` (default) -- use numba when it is importable, else numpy;
-* ``numba``          -- require the compiled kernels (raise if unavailable);
-* ``numpy``          -- force the pure-numpy implementations.
-
-Both kernels take 1-D float64 arrays and return new 1-D float64 arrays.
+spectral density.  Both take 1-D float64 arrays and return new 1-D float64
+arrays.
 """
-
-import os
 
 import numpy as np
 
 
-def _entropy_g_numpy(x):
-    # g(x) = (x+1) log2(x+1) - x log2 x in bits; entries <= 0 map to 0.
+def entropy_g_arr(x):
+    """g(x) = (x+1) log2(x+1) - x log2 x in bits, elementwise; entries <= 0 map to 0."""
     x = np.maximum(x, 0.0)
     xp1 = x + 1.0
     out = xp1 * np.log2(xp1)
@@ -28,86 +19,31 @@ def _entropy_g_numpy(x):
     return out
 
 
-def _entropy_g_loop(x):
-    out = np.empty(x.shape[0])
-    for i in range(x.shape[0]):
-        v = x[i]
-        if v <= 0.0:
-            out[i] = 0.0
-        else:
-            out[i] = (v + 1.0) * np.log2(v + 1.0) - v * np.log2(v)
-    return out
+def _jacobi_terms(x, a, b, nterms):
+    """Yield P_0^{(a,b)}(x), ..., P_{nterms-1}^{(a,b)}(x) by the three-term recurrence.
 
-
-def _jacobi_sq_series_numpy(x, a, b, inv_h):
-    # sum_k inv_h[k] * P_k^{(a,b)}(x)^2 via the three-term recurrence.
-    nterms = inv_h.shape[0]
-    p_prev = np.ones_like(x)
-    acc = inv_h[0] * p_prev * p_prev
+    `x` may be a float or an array; P_0 is the float 1.0 either way.
+    """
+    if nterms < 1:
+        return
+    p_prev = 1.0
+    yield p_prev
     if nterms == 1:
-        return acc
+        return
     p_cur = 0.5 * ((a + b + 2.0) * x + (a - b))
-    acc = acc + inv_h[1] * p_cur * p_cur
+    yield p_cur
     for n in range(2, nterms):
         c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
         c1 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
         c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
         c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        p_next = ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
-        p_prev = p_cur
-        p_cur = p_next
-        acc = acc + inv_h[n] * p_cur * p_cur
+        p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
+        yield p_cur
+
+
+def jacobi_sq_series(x, a, b, inv_h):
+    """sum_k inv_h[k] * P_k^{(a,b)}(x)^2 over k < len(inv_h)."""
+    acc = np.zeros(np.shape(x))
+    for h, p in zip(inv_h, _jacobi_terms(x, a, b, len(inv_h))):
+        acc = acc + h * p * p
     return acc
-
-
-def _jacobi_sq_series_loop(x, a, b, inv_h):
-    nterms = inv_h.shape[0]
-    out = np.empty(x.shape[0])
-    for j in range(x.shape[0]):
-        xx = x[j]
-        p_prev = 1.0
-        acc = inv_h[0]
-        if nterms > 1:
-            p_cur = 0.5 * ((a + b + 2.0) * xx + (a - b))
-            acc += inv_h[1] * p_cur * p_cur
-            for n in range(2, nterms):
-                c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-                c1 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-                c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-                c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-                p_next = ((c1 * xx + c2) * p_cur - c3 * p_prev) / c0
-                p_prev = p_cur
-                p_cur = p_next
-                acc += inv_h[n] * p_cur * p_cur
-        out[j] = acc
-    return out
-
-
-_requested = os.environ.get("GAUSSCAP_BACKEND", "auto").strip().lower()
-if _requested not in {"auto", "numba", "numpy"}:
-    raise RuntimeError(
-        "GAUSSCAP_BACKEND must be 'auto', 'numba' or 'numpy', got %r" % _requested
-    )
-
-BACKEND = "numpy"
-if _requested in {"auto", "numba"}:
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-    else:
-        BACKEND = "numba"
-
-if BACKEND == "numba":
-    entropy_g_arr = njit(cache=True)(_entropy_g_loop)
-    jacobi_sq_series = njit(cache=True)(_jacobi_sq_series_loop)
-else:
-    entropy_g_arr = _entropy_g_numpy
-    jacobi_sq_series = _jacobi_sq_series_numpy
-
-
-def warmup():
-    """Trigger JIT compilation (no-op on the numpy backend)."""
-    entropy_g_arr(np.array([0.0, 0.5, 2.0]))
-    jacobi_sq_series(np.array([-0.5, 0.5]), 1.0, 1.0, np.array([1.0, 2.0, 3.0]))

@@ -22,20 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import (
-    PowerAllocation,
-    het_hom_general,
-    het_hom_per_mode,
-    holevo_diagonal,
-    holevo_general,
-    hom_general_aligned,
-    waterfill_het_hom,
-    waterfill_holevo,
-)
-from .channels import GaussianChannel, block_form_channel, quad_indices, sigma_matrix
-from .decomposition import diagonal_channel_params
-from .ensembles import haar_unitary, philox_stream, run_indexed
-from .errors import InsufficientEnvironment, NonThermalNoise, NotBlockForm
+from .capacity import _channel_capacity
+from .channels import GaussianChannel, quad_indices, sigma_matrix
+from .ensembles import haar_unitary, passive_channel_sample, philox_stream, run_indexed
+from .errors import InsufficientEnvironment, InvalidChannel
 from .phasespace import matrix_abs
 
 __all__ = ["BogoliubovSample", "bogoliubov_sample", "bogoliubov_to_symplectic",
@@ -89,10 +79,9 @@ def active_sample(spec, rng, allow_rect=False):
             "active sampling requires K <= N (receiver modes are signal "
             "modes); pass allow_rect to truncate the enlarged transform"
         )
-    dim = N + M
     if spec.sigma2 == 0:
-        u = haar_unitary(dim, rng)
-        return block_form_channel(u[:K, :N], spec.noise)
+        return passive_channel_sample(spec, rng)
+    dim = N + M
     sample = bogoliubov_sample(dim, spec.sigma2, rng)
     H_tilde = bogoliubov_to_symplectic(sample)
     rows = quad_indices(np.arange(K), dim)
@@ -103,43 +92,14 @@ def active_sample(spec, rng, allow_rect=False):
     return GaussianChannel(H_s, (Y + Y.T) / 2.0, spec.noise)
 
 
-def _sample_capacity(ch, P, N_signal, method, waterfill):
-    """Capacity of one sampled channel under the uniform-power protocol.
-
-    Block-form samples with thermal noise go through the fast diagonal path
-    (optionally water-filled); everything else is evaluated with the general
-    formulas: symmetric modulation (P/N)I for holevo and het, and for hom
-    modulation/measurement along the normal modes of H_s (a lab-frame q
-    measurement would mix modes and quadratures and waste rate).
-    """
-    try:
-        params = diagonal_channel_params(ch)
-    except (NotBlockForm, NonThermalNoise):
-        P_mode = P / N_signal
-        if method == "holevo":
-            return holevo_general(ch, (P_mode) * np.eye(2 * N_signal))
-        if method == "het":
-            return het_hom_general(ch, P_mode * np.eye(2 * N_signal), "het")
-        return hom_general_aligned(ch, P)
-    if waterfill:
-        if method == "holevo":
-            return waterfill_holevo(params, P).bits
-        return waterfill_het_hom(params, P, method).bits
-    per_mode = np.zeros(len(params))
-    per_mode[: min(len(params), N_signal)] = P / N_signal
-    alloc = PowerAllocation(per_mode, float(P))
-    if method == "holevo":
-        return holevo_diagonal(params, alloc)
-    return het_hom_per_mode(params, alloc, method)
-
-
 def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
                        waterfill=False, allow_rect=False, dump_path=None):
     """Monte-Carlo capacity of the active ensemble: (mean, standard error).
 
-    Power is split uniformly over the N signal modes.  `waterfill` turns on
-    per-sample water-filling, which applies only to samples that reduce to
-    the diagonal path (sigma2 = 0 draws); general-path samples always use the
+    Each sample is evaluated by capacity._channel_capacity with power split
+    uniformly over the N signal modes.  `waterfill` turns on per-sample
+    water-filling, which applies only to samples that reduce to the
+    diagonal path (sigma2 = 0 draws); general-path samples always use the
     uniform protocol.  `dump_path` writes a per-sample CSV
     "sample_index,capacity_bits,max_singular_sq" for convergence diagnostics.
     """
@@ -148,13 +108,19 @@ def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
     if method not in ("holevo", "het", "hom"):
         raise ValueError("method must be holevo, het or hom")
     base_seed = spec.seed if seed is None else seed
-    max_sq = np.empty(samples)
+    alloc = "waterfill" if waterfill else "uniform"
+    max_sq = None if dump_path is None else np.empty(samples)
 
     def eval_one(i):
         rng = philox_stream(base_seed, i)
         ch = active_sample(spec, rng, allow_rect)
-        max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
-        return _sample_capacity(ch, P, spec.N, method, waterfill)
+        if max_sq is not None:
+            max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
+        try:
+            return _channel_capacity(ch, P, method, alloc).bits
+        except InvalidChannel:
+            # water-filling needs the diagonal path; fall back to uniform
+            return _channel_capacity(ch, P, method, "uniform").bits
 
     bits = run_indexed(eval_one, samples, threads)
     if dump_path is not None:

@@ -18,9 +18,13 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import entropy_g_arr
+from .decomposition import diagonal_channel_params
 from .errors import (
+    InvalidChannel,
     NegativeEntropyArgument,
     NoFeasibleWaterlevel,
+    NonThermalNoise,
+    NotBlockForm,
     SingularNoise,
     UnphysicalOutput,
     ZeroNoiseClassical,
@@ -31,6 +35,7 @@ __all__ = [
     "PowerAllocation",
     "CapacityResult",
     "noise_photons",
+    "mode_rates",
     "holevo_diagonal",
     "holevo_general",
     "waterfill_holevo",
@@ -40,6 +45,7 @@ __all__ = [
     "hom_general_aligned",
     "asymptotic_limits",
     "classical_capacity",
+    "diagonal_capacity",
 ]
 
 _LN2 = math.log(2.0)
@@ -103,19 +109,45 @@ def _checked_noise(params):
     return lams, Nk
 
 
+def mode_rates(lams, P, Nk, method):
+    """Per-mode rates in bits of single-mode channels, elementwise.
+
+    With signal photons ns_k = lambda_k P_k and noise photons N_k:
+
+        holevo: g(ns_k + N_k) - g(N_k)
+        het:    log2(1 + ns_k / (N_k + 1))
+        hom:    (1/2) log2(1 + 2 ns_k / (N_k + 1/2))
+
+    (homodyne assumes the modulation power is concentrated in the measured
+    quadrature).
+    """
+    ns = lams * P
+    if method == "holevo":
+        x_out = ns + Nk
+        if x_out.size and x_out.min() < -1e-12:
+            raise NegativeEntropyArgument("modulated output photon number < 0")
+        return entropy_g_arr(x_out) - entropy_g_arr(Nk)
+    if method == "het":
+        return np.log2(1.0 + ns / (Nk + 1.0))
+    if method == "hom":
+        return 0.5 * np.log2(1.0 + 2.0 * ns / (Nk + 0.5))
+    raise ValueError("method must be 'holevo', 'het' or 'hom'")
+
+
+def _diagonal_bits(params, alloc, method):
+    lams, Nk = _checked_noise(params)
+    P = np.asarray(alloc.per_mode, dtype=float)
+    if P.shape != lams.shape:
+        raise ValueError("allocation length must match the number of modes")
+    return float(np.sum(mode_rates(lams, P, Nk, method)))
+
+
 def holevo_diagonal(params, alloc):
     """Holevo information of parallel single-mode channels, in bits.
 
     chi = sum_k g(lambda_k P_k + N_k) - g(N_k).
     """
-    lams, Nk = _checked_noise(params)
-    P = np.asarray(alloc.per_mode, dtype=float)
-    if P.shape != lams.shape:
-        raise ValueError("allocation length must match the number of modes")
-    x_out = lams * P + Nk
-    if x_out.size and x_out.min() < -1e-12:
-        raise NegativeEntropyArgument("modulated output photon number < 0")
-    return float(np.sum(entropy_g_arr(x_out) - entropy_g_arr(Nk)))
+    return _diagonal_bits(params, alloc, "holevo")
 
 
 def holevo_general(ch, V_mod):
@@ -215,24 +247,11 @@ def waterfill_holevo(params, P):
 def het_hom_per_mode(params, alloc, kind):
     """Heterodyne or homodyne capacity of parallel single-mode channels.
 
-    With signal photons ns_k = lambda_k P_k and noise photons N_k:
-
-        het: sum_k log2(1 + ns_k / (N_k + 1))
-        hom: sum_k (1/2) log2(1 + 2 ns_k / (N_k + 1/2))
-
-    (homodyne assumes the modulation power is concentrated in the measured
-    quadrature).
+    The sum over modes of the het or hom rate of mode_rates.
     """
     if kind not in _METHOD_NAMES:
         raise ValueError("kind must be 'het' or 'hom'")
-    lams, Nk = _checked_noise(params)
-    P = np.asarray(alloc.per_mode, dtype=float)
-    if P.shape != lams.shape:
-        raise ValueError("allocation length must match the number of modes")
-    ns = lams * P
-    if kind == "het":
-        return float(np.sum(np.log2(1.0 + ns / (Nk + 1.0))))
-    return float(np.sum(0.5 * np.log2(1.0 + 2.0 * ns / (Nk + 0.5))))
+    return _diagonal_bits(params, alloc, kind)
 
 
 def _waterfill_floors(floors, P):
@@ -364,3 +383,70 @@ def classical_capacity(lambdas, xi, P):
         rates = np.log2(1.0 + np.where(per_mode > 0, per_mode / floors, 0.0))
     bits = float(np.sum(rates))
     return CapacityResult(bits, "classical", PowerAllocation(per_mode, float(P)), mu)
+
+
+def diagonal_capacity(params, P, method, alloc, n_signal):
+    """Capacity of parallel single-mode channels under the power budget P.
+
+    `params` are (lambda_k, n, xi) triples.  `method` is holevo, het, hom or
+    classical; the classical Shannon capacity uses the additive noise xi of
+    the first triple, log2(1 + lambda_k P_k / xi) per mode.  `alloc` is
+    "uniform", P/N photons on each of the first N = `n_signal` modes, or
+    "waterfill", the optimal split, whose water level is returned.
+    """
+    if method == "classical":
+        lams, _, xis = _split_params(params)
+        xi = xis[0]
+        if xi <= 0:
+            raise ZeroNoiseClassical("classical capacity requires xi > 0")
+        if alloc == "waterfill":
+            return classical_capacity(lams, xi, P)
+        uniform = uniform_allocation(len(params), P, n_signal)
+        with np.errstate(divide="ignore"):
+            rates = np.log2(1.0 + lams * uniform.per_mode / xi)
+        return CapacityResult(float(np.sum(rates)), "classical", uniform)
+    if alloc == "uniform":
+        uniform = uniform_allocation(len(params), P, n_signal)
+        bits = _diagonal_bits(params, uniform, method)
+        return CapacityResult(bits, _METHOD_NAMES.get(method, method), uniform)
+    if method == "holevo":
+        return waterfill_holevo(params, P)
+    return waterfill_het_hom(params, P, method)
+
+
+def _channel_capacity(ch, P, method, alloc):
+    """Capacity of one channel under the power budget P.
+
+    Shared by the CLI and the Monte Carlo driver.  It stays private because
+    the layer tracer of perfbench/ wraps every public function, and its
+    self-test expects the capacity formulas as direct children of each
+    Monte Carlo sample.
+
+    A block-form channel with thermal noise splits into parallel single-mode
+    channels and goes through diagonal_capacity, with P/N photons per input
+    mode under the uniform split.  Any other channel is evaluated with the
+    general formulas under uniform modulation, (P/N) I for holevo and het and
+    along the normal modes of H_s for hom; its result has no per-mode
+    allocation.  Water-filling and the classical capacity need the diagonal
+    form, so on such a channel they raise InvalidChannel.
+    """
+    try:
+        params = diagonal_channel_params(ch)
+    except (NotBlockForm, NonThermalNoise):
+        params = None
+    if params is not None:
+        return diagonal_capacity(params, P, method, alloc, ch.in_modes)
+    if alloc != "uniform":
+        raise InvalidChannel(
+            "channel is not diagonalizable; only --alloc uniform is "
+            "supported for it")
+    if method == "classical":
+        raise InvalidChannel("classical capacity needs a diagonalizable channel")
+    N = ch.in_modes
+    if method == "hom":
+        bits = hom_general_aligned(ch, P)
+    elif method == "holevo":
+        bits = holevo_general(ch, (P / N) * np.eye(2 * N))
+    else:
+        bits = het_hom_general(ch, (P / N) * np.eye(2 * N), method)
+    return CapacityResult(bits, _METHOD_NAMES.get(method, method), None)

@@ -35,6 +35,7 @@ __all__ = [
     "quad_indices",
     "sigma_matrix",
     "minimal_noise",
+    "thermal_noise",
     "block_form_channel",
     "channel_from_global",
     "validate_channel",
@@ -141,6 +142,13 @@ def minimal_noise(H_s):
     return 0.5 * matrix_abs(sigma_matrix(H_s))
 
 
+def thermal_noise(H_s, noise):
+    """Thermal noise matrix Y = (n + 1/2)|I - H_s H_s^T| + xi I of a block-form H_s."""
+    dim = H_s.shape[0]
+    Y = (noise.n + 0.5) * matrix_abs(np.eye(dim) - H_s @ H_s.T)
+    return Y + noise.xi * np.eye(dim)
+
+
 def block_form_channel(C, noise=NoiseParams()):
     """Channel with H_s = R(C) and uniform thermal + additive noise.
 
@@ -154,9 +162,7 @@ def block_form_channel(C, noise=NoiseParams()):
     minimal noise for n = 0 and a valid channel for every n, xi >= 0.
     """
     H_s = real_representation(C)
-    dim = H_s.shape[0]
-    Y = (noise.n + 0.5) * matrix_abs(np.eye(dim) - H_s @ H_s.T)
-    Y = Y + noise.xi * np.eye(dim)
+    Y = thermal_noise(H_s, noise)
     ch = GaussianChannel(H_s, (Y + Y.T) / 2.0, noise)
     if not validate_channel(ch, DEFAULT_TOL.validity):
         raise InvalidChannel("constructed thermal channel failed validity")

@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from . import active, capacity, channels, decomposition, ensembles
+from . import active, capacity, channels, ensembles
 from .errors import (
     DimensionMismatch,
     InsufficientEnvironment,
@@ -144,26 +144,6 @@ def _require(parser, args, *names):
                          % name.replace("_", "-"))
 
 
-def _general_channel_bits(ch, P, method, alloc_kind):
-    # Channels that do not reduce to parallel single-mode channels are
-    # evaluated with the general multivariate formulas under symmetric
-    # modulation (aligned with the channel normal modes for homodyne);
-    # water-filling needs the diagonal decomposition and is not available.
-    if alloc_kind != "uniform":
-        raise InvalidChannel(
-            "channel is not diagonalizable; only --alloc uniform is "
-            "supported for it")
-    N = ch.in_modes
-    P_mode = P / N
-    if method == "holevo":
-        return capacity.holevo_general(ch, P_mode * np.eye(2 * N))
-    if method == "het":
-        return capacity.het_hom_general(ch, P_mode * np.eye(2 * N), "het")
-    if method == "hom":
-        return capacity.hom_general_aligned(ch, P)
-    raise InvalidChannel("classical capacity needs a diagonalizable channel")
-
-
 def _channel_params(args, parser):
     """Resolve the (lambda_k, n, xi) list and the input-mode count."""
     noise_n = float(args.n)
@@ -183,61 +163,27 @@ def _channel_params(args, parser):
     return [(lam, noise_n, xi) for lam in lams], len(lams)
 
 
-def _diagonal_bits(params, n_signal, P, method, alloc_kind, xi):
-    """Capacity of a diagonal channel; returns (bits, allocation, mu)."""
-    if method == "classical":
-        if xi <= 0:
-            raise ZeroNoiseClassical("classical capacity requires xi > 0")
-        lams = [p[0] for p in params]
-        if alloc_kind == "waterfill":
-            res = capacity.classical_capacity(lams, xi, P)
-            return res.bits, res.allocation.per_mode, res.waterlevel
-        alloc = capacity.uniform_allocation(len(params), P, n_signal)
-        with np.errstate(divide="ignore"):
-            rates = np.log2(1.0 + np.asarray(lams) * alloc.per_mode / xi)
-        return float(np.sum(rates)), alloc.per_mode, None
-    if alloc_kind == "uniform":
-        alloc = capacity.uniform_allocation(len(params), P, n_signal)
-        if method == "holevo":
-            bits = capacity.holevo_diagonal(params, alloc)
-        else:
-            bits = capacity.het_hom_per_mode(params, alloc, method)
-        return bits, alloc.per_mode, None
-    if method == "holevo":
-        res = capacity.waterfill_holevo(params, P)
-    else:
-        res = capacity.waterfill_het_hom(params, P, method)
-    return res.bits, res.allocation.per_mode, res.waterlevel
-
-
 def cmd_capacity(args, parser):
     _require(parser, args, "power")
     P = float(args.power)
-    per_mode, mu = [], None
     if args.channel is not None:
         with open(args.channel) as fh:
             ch = channels.channel_from_json(fh.read())
         if not channels.validate_channel(ch):
             raise UnphysicalOutput(
                 "channel file violates the noise bound Y - (i/2)Sigma >= 0")
-        try:
-            params = decomposition.diagonal_channel_params(ch)
-        except (NotBlockForm, NonThermalNoise):
-            bits = _general_channel_bits(ch, P, args.method, args.alloc)
-        else:
-            xi = ch.noise.xi
-            bits, per_mode, mu = _diagonal_bits(params, ch.in_modes, P,
-                                                args.method, args.alloc, xi)
+        res = capacity._channel_capacity(ch, P, args.method, args.alloc)
     else:
         params, n_signal = _channel_params(args, parser)
-        bits, per_mode, mu = _diagonal_bits(params, n_signal, P, args.method,
-                                            args.alloc, float(args.xi))
+        res = capacity.diagonal_capacity(params, P, args.method, args.alloc,
+                                         n_signal)
+    per_mode = [] if res.allocation is None else res.allocation.per_mode
     report = {
-        "bits": bits,
+        "bits": res.bits,
         "method": args.method,
         "alloc": args.alloc,
         "allocation": [float(p) for p in per_mode],
-        "mu": mu,
+        "mu": res.waterlevel,
         "power": P,
     }
     _emit(json.dumps(report, indent=2) + "\n", args.output)
@@ -264,8 +210,8 @@ def cmd_sweep_modes(args, parser):
         params = [(lam, float(args.n), xi) for lam in lams]
         for method in methods:
             for alloc in allocs:
-                bits, _, _ = _diagonal_bits(params, N, float(args.power),
-                                            method, alloc, xi)
+                bits = capacity.diagonal_capacity(params, float(args.power),
+                                                  method, alloc, N).bits
                 lines.append("%d,%s,%s,%s" % (N, method, alloc, _fmt(bits)))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK

@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import thermal_noise
 from .errors import NonThermalNoise, NotBlockForm
-from .phasespace import DEFAULT_TOL, matrix_abs, real_representation
+from .phasespace import DEFAULT_TOL, real_representation
 
 __all__ = ["ModeDecomposition", "block_svd", "diagonal_channel_params"]
 
@@ -88,10 +89,7 @@ def diagonal_channel_params(ch, tol=DEFAULT_TOL.block_form,
     """
     dec = block_svd(ch.H_s, tol)
     n, xi = ch.noise.n, ch.noise.xi
-    dim = 2 * ch.out_modes
-    Y_thermal = (n + 0.5) * matrix_abs(np.eye(dim) - ch.H_s @ ch.H_s.T)
-    Y_thermal = Y_thermal + xi * np.eye(dim)
-    if np.max(np.abs(ch.Y - Y_thermal)) > thermal_tol:
+    if np.max(np.abs(ch.Y - thermal_noise(ch.H_s, ch.noise))) > thermal_tol:
         raise NonThermalNoise(
             "noise matrix is not thermal for the recorded (n, xi)"
         )

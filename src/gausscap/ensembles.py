@@ -17,15 +17,14 @@ results are bit-identical for a given seed regardless of worker count.
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import entropy_g_arr, jacobi_sq_series
-from .capacity import PowerAllocation, het_hom_per_mode, holevo_diagonal
+from ._kernels import _jacobi_terms, jacobi_sq_series
+from .capacity import mode_rates, noise_photons
 from .channels import NoiseParams, block_form_channel
-from .decomposition import diagonal_channel_params
 from .errors import InsufficientEnvironment
 from .phasespace import real_representation
 
@@ -41,9 +40,6 @@ __all__ = [
     "mc_expected_capacity_passive",
     "sample_lambda_spectrum",
 ]
-
-_MC_METHODS = ("holevo", "het", "hom")
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -95,17 +91,9 @@ def jacobi_polynomial(k, a, b, x):
     """Jacobi polynomial P_k^{(a,b)}(x) by the three-term recurrence."""
     if k < 0:
         raise ValueError("polynomial degree must be >= 0")
-    p_prev = 1.0
-    if k == 0:
-        return p_prev
-    p_cur = 0.5 * ((a + b + 2.0) * x + (a - b))
-    for n in range(2, k + 1):
-        c0 = 2.0 * n * (n + a + b) * (2.0 * n + a + b - 2.0)
-        c1 = (2.0 * n + a + b - 1.0) * (2.0 * n + a + b) * (2.0 * n + a + b - 2.0)
-        c2 = (2.0 * n + a + b - 1.0) * (a * a - b * b)
-        c3 = 2.0 * (n + a - 1.0) * (n + b - 1.0) * (2.0 * n + a + b)
-        p_prev, p_cur = p_cur, ((c1 * x + c2) * p_cur - c3 * p_prev) / c0
-    return p_cur
+    for p in _jacobi_terms(x, a, b, k + 1):
+        pass
+    return p
 
 
 def jacobi_norm_h(k, a, b):
@@ -162,19 +150,6 @@ def spectral_density(spec):
     return JacobiDensity(a=a, b=b, terms=m, inv_h=inv_h)
 
 
-def _single_mode_bits(lams, P_mode, n, xi, method):
-    # Single-mode capacity at fixed power, vectorized over transmissions.
-    Nk = (lams - 1.0) / 2.0 + (n + 0.5) * np.abs(1.0 - lams) + xi
-    ns = lams * P_mode
-    if method == "holevo":
-        return entropy_g_arr(ns + Nk) - entropy_g_arr(Nk)
-    if method == "het":
-        return np.log2(1.0 + ns / (Nk + 1.0))
-    if method == "hom":
-        return 0.5 * np.log2(1.0 + 2.0 * ns / (Nk + 0.5))
-    raise ValueError("method must be one of %s" % (_MC_METHODS,))
-
-
 @lru_cache(maxsize=None)
 def _gauss_legendre_01(order):
     t, w = np.polynomial.legendre.leggauss(order)
@@ -201,7 +176,7 @@ def expected_capacity_passive(spec, P, method, allocation="uniform"):
     prev = None
     for order in (32, 64, 128, 256, 512, 1024, 2048):
         lam, w = _gauss_legendre_01(order)
-        c1 = _single_mode_bits(lam, P_mode, n, xi, method)
+        c1 = mode_rates(lam, P_mode, noise_photons(lam, n, xi), method)
         value = m * float(np.sum(w * c1 * density.pdf(lam)))
         if prev is not None and abs(value - prev) <= 1e-8 * max(abs(value), 1e-12):
             break
@@ -249,28 +224,14 @@ def mc_expected_capacity_passive(spec, P, method, samples, seed=None, threads=No
     """Monte-Carlo estimate of the expected passive-channel capacity.
 
     Samples channels, decomposes each into singular modes, applies the
-    uniform allocation P/N, and returns (mean, standard error) in bits.
-    The seed defaults to spec.seed.
+    uniform allocation P/N on the min(K, N) signal-carrying modes, and
+    returns (mean, standard error) in bits.  The seed defaults to spec.seed.
+    This is the active-ensemble estimator at sigma2 = 0.
     """
-    if samples < 2:
-        raise ValueError("need at least 2 samples for a standard error")
-    if method not in _MC_METHODS:
-        raise ValueError("method must be one of %s" % (_MC_METHODS,))
-    base_seed = spec.seed if seed is None else seed
+    from .active import mc_capacity_active
 
-    def eval_one(i):
-        rng = philox_stream(base_seed, i)
-        ch = passive_channel_sample(spec, rng)
-        params = diagonal_channel_params(ch)
-        alloc = PowerAllocation(np.full(len(params), P / spec.N), float(P))
-        if method == "holevo":
-            return holevo_diagonal(params, alloc)
-        return het_hom_per_mode(params, alloc, method)
-
-    bits = run_indexed(eval_one, samples, threads)
-    mean = float(np.mean(bits))
-    se = float(np.std(bits, ddof=1) / math.sqrt(samples))
-    return mean, se
+    return mc_capacity_active(replace(spec, sigma2=0.0), P, method, samples,
+                              seed, threads, allow_rect=True)
 
 
 def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):

@@ -5,11 +5,11 @@ ordered (q_1, ..., q_R, p_1, ..., p_R), the vacuum variance is 1/2, and all
 entropies and capacities are in bits.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import entropy_g_arr
 from .errors import NegativeArgument, NonPositiveDefinite, NotHermitian
 
 __all__ = [
@@ -142,6 +142,4 @@ def entropy_g(x):
     """
     if x < -1e-12:
         raise NegativeArgument("entropy argument %r < -1e-12" % (x,))
-    if x <= 0.0:
-        return 0.0
-    return (x + 1.0) * math.log2(x + 1.0) - x * math.log2(x)
+    return float(entropy_g_arr(np.array([x], dtype=float))[0])

@@ -134,6 +134,11 @@ class TestMonteCarloActive:
         with pytest.raises(ValueError):
             mc_capacity_active(spec_for(1, 1, 1, 0.0), 1.0, "shannon", 10)
 
+    def test_waterfill_flag_leaves_general_samples_uniform(self):
+        s = spec_for(2, 2, 2, sigma2=0.05, seed=14)
+        plain = mc_capacity_active(s, 6.0, "het", 40)
+        assert mc_capacity_active(s, 6.0, "het", 40, waterfill=True) == plain
+
     def test_waterfill_flag_improves_diagonal_samples(self):
         # sigma2 = 0 samples take the diagonal path, where water-filling
         # can only help

@@ -5,12 +5,18 @@ import json
 import numpy as np
 import pytest
 
+from gausscap.active import active_sample
+from gausscap.capacity import het_hom_general, holevo_general, hom_general_aligned
 from gausscap.channels import (
     GaussianChannel,
     NoiseParams,
     block_form_channel,
+    channel_from_json,
     channel_to_json,
 )
+from gausscap.decomposition import diagonal_channel_params
+from gausscap.ensembles import EnsembleSpec, philox_stream
+from gausscap.errors import NotBlockForm
 from gausscap.cli import (
     EXIT_ENSEMBLE,
     EXIT_INPUT,
@@ -80,6 +86,34 @@ class TestCapacity:
         code, _ = run(capsys, "capacity", "--channel", path, "--power", "1",
                       "--alloc", "uniform")
         assert code == EXIT_UNPHYSICAL
+
+    def test_general_channel_file(self, capsys, tmp_path):
+        # an active sample is not block-form, so the CLI takes the general
+        # formulas under uniform modulation and refuses what needs modes
+        spec = EnsembleSpec(2, 2, 2, noise=NoiseParams(0.2, 0.05), sigma2=0.05)
+        ch = active_sample(spec, philox_stream(9, 0))
+        with pytest.raises(NotBlockForm):
+            diagonal_channel_params(ch)
+        path = write_channel(tmp_path / "active.json", ch)
+        ch = channel_from_json((tmp_path / "active.json").read_text())
+        P = 6.5
+        V_mod = (P / 2) * np.eye(4)
+        expected = {"holevo": holevo_general(ch, V_mod),
+                    "het": het_hom_general(ch, V_mod, "het"),
+                    "hom": hom_general_aligned(ch, P)}
+        for method, bits in expected.items():
+            code, out = run(capsys, "capacity", "--channel", path, "--power",
+                            repr(P), "--method", method, "--alloc", "uniform")
+            assert code == EXIT_OK
+            report = json.loads(out)
+            assert report["bits"] == bits
+            assert report["allocation"] == [] and report["mu"] is None
+        code, _ = run(capsys, "capacity", "--channel", path, "--power",
+                      repr(P), "--method", "holevo", "--alloc", "waterfill")
+        assert code == EXIT_INPUT
+        code, _ = run(capsys, "capacity", "--channel", path, "--power",
+                      repr(P), "--method", "classical", "--alloc", "uniform")
+        assert code == EXIT_INPUT
 
     def test_missing_channel_file(self, capsys, tmp_path):
         code, _ = run(capsys, "capacity", "--channel",

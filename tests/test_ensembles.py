@@ -4,6 +4,7 @@ analytic expected capacities and the seeded Monte Carlo estimator."""
 import numpy as np
 import pytest
 
+from gausscap._kernels import jacobi_sq_series
 from gausscap.channels import NoiseParams
 from gausscap.ensembles import (
     EnsembleSpec,
@@ -79,6 +80,16 @@ class TestJacobi:
             rhs = (-1) ** n * jacobi_polynomial(n, b, a, x)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
+    @pytest.mark.parametrize("a,b,terms", [(0.0, 0.0, 1), (1.0, 0.0, 2),
+                                           (2.0, 3.0, 5), (0.0, 4.0, 7)])
+    def test_squared_series_is_the_same_recurrence(self, a, b, terms):
+        inv_h = np.array([1.0 / jacobi_norm_h(k, a, b) for k in range(terms)])
+        x = np.linspace(-1.0, 1.0, 9)
+        got = jacobi_sq_series(x, a, b, inv_h)
+        for xj, gj in zip(x, got):
+            ps = [jacobi_polynomial(k, a, b, float(xj)) for k in range(terms)]
+            assert gj == sum(h * p * p for h, p in zip(inv_h, ps))
+
     @pytest.mark.parametrize("k,a,b,expected", [
         (0, 0, 0, 1.0),
         (1, 0, 0, 1.0 / 3.0),
@@ -144,6 +155,13 @@ class TestMonteCarlo:
         ana = expected_capacity_passive(s, 15.0, "het")
         mean, se = mc_expected_capacity_passive(s, 15.0, "het", 2000)
         assert abs(mean - ana) < 3 * se
+
+    def test_more_receivers_than_signals(self):
+        # K > N: the uniform split puts P/N on the min(K, N) carrying modes
+        s = spec_for(2, 3, 3)
+        ana = expected_capacity_passive(s, 4.0, "holevo")
+        mean, se = mc_expected_capacity_passive(s, 4.0, "holevo", 2000)
+        assert abs(mean - ana) < 5 * se
 
     def test_deterministic_replay(self):
         s = spec_for(2, 1, 2, seed=42)

@@ -4,6 +4,7 @@ symplectic eigenvalues, matrix absolute value and the bosonic entropy g."""
 import numpy as np
 import pytest
 
+from gausscap._kernels import entropy_g_arr
 from gausscap.errors import NegativeArgument, NonPositiveDefinite, NotHermitian
 from gausscap.phasespace import (
     DEFAULT_TOL,
@@ -128,6 +129,10 @@ class TestEntropyG:
         xs = np.linspace(0.0, 20.0, 50)
         ys = [entropy_g(x) for x in xs]
         assert all(b > a for a, b in zip(ys, ys[1:]))
+
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 15.0, 3e7])
+    def test_scalar_is_the_array_kernel(self, x):
+        assert entropy_g(x) == entropy_g_arr(np.array([x]))[0]
 
     def test_negative_clamp_and_raise(self):
         assert entropy_g(-1e-13) == 0.0
