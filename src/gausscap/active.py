@@ -14,7 +14,8 @@ Sampling U_1, U_2 from the Haar measure and r_i ~ Normal(0, sigma2) gives a
 random symplectic transform that is a perturbation of a passive one for
 small sigma2; the signal block plus its minimal thermal noise is the random
 active channel.  Monte-Carlo capacity estimates use the same deterministic
-per-sample RNG streams as the passive ensembles.
+per-sample RNG streams as the passive ensembles, and at sigma2 = 0 reduce to
+the batched passive sampler.
 """
 
 import math
@@ -22,10 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _channel_capacity
+from .capacity import _channel_capacity, diagonal_capacity, mode_rates, noise_photons
 from .channels import GaussianChannel, quad_indices, sigma_matrix
-from .ensembles import haar_unitary, passive_channel_sample, philox_stream, run_indexed
-from .errors import InsufficientEnvironment, InvalidChannel
+from .ensembles import (
+    haar_unitary,
+    passive_channel_sample,
+    passive_transmissions,
+    philox_stream,
+    run_indexed,
+)
+from .errors import InsufficientEnvironment
 from .phasespace import matrix_abs
 
 __all__ = ["BogoliubovSample", "bogoliubov_sample", "bogoliubov_to_symplectic",
@@ -58,6 +65,14 @@ def bogoliubov_to_symplectic(sample):
     return np.block([[apb.real, -amb.imag], [apb.imag, amb.real]])
 
 
+def _check_receivers(spec, allow_rect):
+    if spec.K > spec.N and not allow_rect:
+        raise InsufficientEnvironment(
+            "active sampling requires K <= N (receiver modes are signal "
+            "modes); pass allow_rect to truncate the enlarged transform"
+        )
+
+
 def active_sample(spec, rng, allow_rect=False):
     """One random channel from the active ensemble of `spec`.
 
@@ -73,14 +88,10 @@ def active_sample(spec, rng, allow_rect=False):
     is set, in which case the first K output modes of the enlarged transform
     (signal and environment alike) are kept.
     """
-    N, K, M = spec.N, spec.K, spec.M
-    if K > N and not allow_rect:
-        raise InsufficientEnvironment(
-            "active sampling requires K <= N (receiver modes are signal "
-            "modes); pass allow_rect to truncate the enlarged transform"
-        )
+    _check_receivers(spec, allow_rect)
     if spec.sigma2 == 0:
         return passive_channel_sample(spec, rng)
+    N, K, M = spec.N, spec.K, spec.M
     dim = N + M
     sample = bogoliubov_sample(dim, spec.sigma2, rng)
     H_tilde = bogoliubov_to_symplectic(sample)
@@ -92,37 +103,58 @@ def active_sample(spec, rng, allow_rect=False):
     return GaussianChannel(H_s, (Y + Y.T) / 2.0, spec.noise)
 
 
+def _passive_bits(spec, lams, P, method, waterfill):
+    # Per-sample capacities of passive draws from their (samples, modes)
+    # transmissions.  Receiver modes beyond N have lambda = 0 and carry
+    # exactly 0 bits, so they are left out.
+    n, xi = spec.noise.n, spec.noise.xi
+    if not waterfill:
+        rates = mode_rates(lams, P / spec.N, noise_photons(lams, n, xi), method)
+        return rates.sum(axis=1)
+    return np.array([
+        diagonal_capacity([(lam, n, xi) for lam in row.tolist()], P, method,
+                          "waterfill", spec.N).bits
+        for row in lams])
+
+
 def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
                        waterfill=False, allow_rect=False, dump_path=None):
     """Monte-Carlo capacity of the active ensemble: (mean, standard error).
 
-    Each sample is evaluated by capacity._channel_capacity with power split
-    uniformly over the N signal modes.  `waterfill` turns on per-sample
-    water-filling, which applies only to samples that reduce to the
-    diagonal path (sigma2 = 0 draws); general-path samples always use the
-    uniform protocol.  `dump_path` writes a per-sample CSV
-    "sample_index,capacity_bits,max_singular_sq" for convergence diagnostics.
+    At sigma2 = 0 the transmissions of all samples are drawn batched
+    (ensembles.passive_transmissions) and the power is split uniformly over
+    the N signal modes; no channel is built and `threads` is not used.  For
+    sigma2 > 0 each sample is built by active_sample and evaluated by
+    capacity._channel_capacity with the uniform split, on `threads` workers.
+    `waterfill` turns on per-sample water-filling, which applies only to
+    samples that reduce to the diagonal path (sigma2 = 0 draws);
+    general-path samples always use the uniform protocol.  `dump_path` writes
+    a per-sample CSV "sample_index,capacity_bits,max_singular_sq" for
+    convergence diagnostics.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
     if method not in ("holevo", "het", "hom"):
         raise ValueError("method must be holevo, het or hom")
+    if P < 0:
+        raise ValueError("power must be nonnegative")
+    _check_receivers(spec, allow_rect)
     base_seed = spec.seed if seed is None else seed
-    alloc = "waterfill" if waterfill else "uniform"
-    max_sq = None if dump_path is None else np.empty(samples)
+    if spec.sigma2 == 0:
+        lams = passive_transmissions(spec, samples, base_seed)
+        bits = _passive_bits(spec, lams, P, method, waterfill)
+        max_sq = lams[:, 0]
+    else:
+        alloc = None if waterfill else "uniform"
+        max_sq = None if dump_path is None else np.empty(samples)
 
-    def eval_one(i):
-        rng = philox_stream(base_seed, i)
-        ch = active_sample(spec, rng, allow_rect)
-        if max_sq is not None:
-            max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
-        try:
+        def eval_one(i):
+            ch = active_sample(spec, philox_stream(base_seed, i), allow_rect)
+            if max_sq is not None:
+                max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
             return _channel_capacity(ch, P, method, alloc).bits
-        except InvalidChannel:
-            # water-filling needs the diagonal path; fall back to uniform
-            return _channel_capacity(ch, P, method, "uniform").bits
 
-    bits = run_indexed(eval_one, samples, threads)
+        bits = run_indexed(eval_one, samples, threads)
     if dump_path is not None:
         with open(dump_path, "w", newline="") as fh:
             fh.write("sample_index,capacity_bits,max_singular_sq\n")

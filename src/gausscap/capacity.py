@@ -428,15 +428,18 @@ def _channel_capacity(ch, P, method, alloc):
     general formulas under uniform modulation, (P/N) I for holevo and het and
     along the normal modes of H_s for hom; its result has no per-mode
     allocation.  Water-filling and the classical capacity need the diagonal
-    form, so on such a channel they raise InvalidChannel.
+    form, so on such a channel they raise InvalidChannel.  `alloc` None means
+    water-filling where the channel allows it and the uniform split
+    otherwise.
     """
     try:
         params = diagonal_channel_params(ch)
     except (NotBlockForm, NonThermalNoise):
         params = None
     if params is not None:
-        return diagonal_capacity(params, P, method, alloc, ch.in_modes)
-    if alloc != "uniform":
+        return diagonal_capacity(params, P, method, alloc or "waterfill",
+                                 ch.in_modes)
+    if alloc not in (None, "uniform"):
         raise InvalidChannel(
             "channel is not diagonalizable; only --alloc uniform is "
             "supported for it")

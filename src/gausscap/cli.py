@@ -18,6 +18,7 @@ error, 64 usage.
 import argparse
 import ast
 import json
+import math
 import sys
 
 import numpy as np
@@ -63,6 +64,14 @@ def _fmt(x):
     return "%.12g" % x
 
 
+def _finite(value, flag):
+    """float(value), refusing NaN and +-inf as input errors."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError("%s must be a finite number, got %r" % (flag, value))
+    return x
+
+
 _RULE_OPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 
 
@@ -70,7 +79,8 @@ def eval_rule(expr, **names):
     """Evaluate a tiny arithmetic expression over the given variable names.
 
     Supports +, -, *, / and numeric constants; just enough to encode
-    per-mode transmission rules like "0.2+0.7*k/N".
+    per-mode transmission rules like "0.2+0.7*k/N".  A division by zero or a
+    non-finite result raises ValueError.
     """
 
     def ev(node):
@@ -84,6 +94,8 @@ def eval_rule(expr, **names):
                 return left - right
             if isinstance(node.op, ast.Mult):
                 return left * right
+            if right == 0:
+                raise ValueError("division by zero in rule %r" % expr)
             return left / right
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
             return ev(node.operand) * (-1.0 if isinstance(node.op, ast.USub) else 1.0)
@@ -97,7 +109,10 @@ def eval_rule(expr, **names):
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ValueError("cannot parse rule %r: %s" % (expr, exc)) from None
-    return ev(tree)
+    value = ev(tree)
+    if not math.isfinite(value):
+        raise ValueError("rule %r is not finite: %r" % (expr, value))
+    return value
 
 
 def _parse_range(text):
@@ -146,10 +161,11 @@ def _require(parser, args, *names):
 
 def _channel_params(args, parser):
     """Resolve the (lambda_k, n, xi) list and the input-mode count."""
-    noise_n = float(args.n)
-    xi = float(args.xi)
+    noise_n = _finite(args.n, "--n")
+    xi = _finite(args.xi, "--xi")
     if args.lambdas is not None:
-        lams = [float(tok) for tok in str(args.lambdas).split(",") if tok.strip()]
+        lams = [_finite(tok, "--lambdas") for tok in str(args.lambdas).split(",")
+                if tok.strip()]
         if not lams:
             raise ValueError("--lambdas must list at least one value")
     elif args.lambdas_rule is not None:
@@ -165,7 +181,7 @@ def _channel_params(args, parser):
 
 def cmd_capacity(args, parser):
     _require(parser, args, "power")
-    P = float(args.power)
+    P = _finite(args.power, "--power")
     if args.channel is not None:
         with open(args.channel) as fh:
             ch = channels.channel_from_json(fh.read())
@@ -173,20 +189,28 @@ def cmd_capacity(args, parser):
             raise UnphysicalOutput(
                 "channel file violates the noise bound Y - (i/2)Sigma >= 0")
         res = capacity._channel_capacity(ch, P, args.method, args.alloc)
+        # an unset --alloc water-fills a diagonalizable channel; any other
+        # channel takes the general path, which has no per-mode allocation
+        alloc = args.alloc or ("uniform" if res.allocation is None
+                               else "waterfill")
     else:
+        alloc = args.alloc or "waterfill"
         params, n_signal = _channel_params(args, parser)
-        res = capacity.diagonal_capacity(params, P, args.method, args.alloc,
+        res = capacity.diagonal_capacity(params, P, args.method, alloc,
                                          n_signal)
     per_mode = [] if res.allocation is None else res.allocation.per_mode
+    mu = res.waterlevel
     report = {
         "bits": res.bits,
         "method": args.method,
-        "alloc": args.alloc,
+        "alloc": alloc,
         "allocation": [float(p) for p in per_mode],
-        "mu": res.waterlevel,
+        # JSON has no infinity: a water level that is infinite (the holevo
+        # threshold of a noise-free mode at zero power) is reported as null
+        "mu": mu if mu is None or math.isfinite(mu) else None,
         "power": P,
     }
-    _emit(json.dumps(report, indent=2) + "\n", args.output)
+    _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.output)
     return EXIT_OK
 
 
@@ -201,17 +225,19 @@ def cmd_sweep_modes(args, parser):
     for alloc in allocs:
         if alloc not in ("uniform", "waterfill"):
             raise ValueError("unknown allocation %r" % alloc)
-    xi = float(args.xi)
+    P = _finite(args.power, "--power")
+    noise_n = _finite(args.n, "--n")
+    xi = _finite(args.xi, "--xi")
     lines = ["N,method,alloc,bits"]
     for N in n_values:
         lams = [eval_rule(args.lambdas_rule, k=k, N=N) for k in range(1, N + 1)]
         if min(lams) < 0:
             raise ValueError("transmissions must be nonnegative")
-        params = [(lam, float(args.n), xi) for lam in lams]
+        params = [(lam, noise_n, xi) for lam in lams]
         for method in methods:
             for alloc in allocs:
-                bits = capacity.diagonal_capacity(params, float(args.power),
-                                                  method, alloc, N).bits
+                bits = capacity.diagonal_capacity(params, P, method, alloc,
+                                                  N).bits
                 lines.append("%d,%s,%s,%s" % (N, method, alloc, _fmt(bits)))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
@@ -221,27 +247,27 @@ def cmd_random(args, parser):
     _require(parser, args, "N", "power")
     if args.mode == "mc" and args.seed is None:
         parser.error("--seed is required in mc mode")
-    if args.mode == "analytic" and float(args.sigma2) != 0:
+    sigma2 = _finite(args.sigma2, "--sigma2")
+    if args.mode == "analytic" and sigma2 != 0:
         parser.error("analytic mode requires sigma2 = 0")
     n_values = _parse_range(args.N)
     if args.dump_samples and (len(n_values) != 1 or args.mode != "mc"):
         parser.error("--dump-samples needs mc mode and a single configuration")
-    noise = channels.NoiseParams(float(args.n), float(args.xi))
+    P = _finite(args.power, "--power")
+    noise = channels.NoiseParams(_finite(args.n, "--n"), _finite(args.xi, "--xi"))
     threads = args.threads if args.threads is None else int(args.threads)
     rows = []
     for N in n_values:
         K = int(eval_rule(str(args.K), N=N)) if args.K is not None else N
         M = int(eval_rule(str(args.M), N=N)) if args.M is not None else N
         spec = ensembles.EnsembleSpec(N=N, K=K, M=M, noise=noise,
-                                      sigma2=float(args.sigma2),
-                                      seed=int(args.seed or 0))
+                                      sigma2=sigma2, seed=int(args.seed or 0))
         if args.mode == "analytic":
-            bits = ensembles.expected_capacity_passive(spec, float(args.power),
-                                                       args.method)
+            bits = ensembles.expected_capacity_passive(spec, P, args.method)
             rows.append((spec, bits, None))
         else:
             mean, se = active.mc_capacity_active(
-                spec, float(args.power), args.method, int(args.samples),
+                spec, P, args.method, int(args.samples),
                 threads=threads, allow_rect=args.allow_rect_active,
                 dump_path=args.dump_samples)
             rows.append((spec, mean, se))
@@ -291,8 +317,7 @@ def build_parser():
     p_cap.add_argument("--alloc", choices=["uniform", "waterfill"], default=None)
     common(p_cap)
     p_cap.set_defaults(func=cmd_capacity,
-                       defaults={"n": 0.0, "xi": 0.0, "method": "holevo",
-                                 "alloc": "waterfill"})
+                       defaults={"n": 0.0, "xi": 0.0, "method": "holevo"})
 
     p_sweep = sub.add_parser("sweep-modes", description=(
         "Capacity versus mode count, as CSV"))
@@ -325,7 +350,9 @@ def build_parser():
     p_rand.add_argument("--n", default=None)
     p_rand.add_argument("--xi", default=None)
     p_rand.add_argument("--threads", default=None,
-                        help="worker cap (GAUSSCAP_THREADS as fallback)")
+                        help="worker cap for active (sigma2 > 0) MC, "
+                             "GAUSSCAP_THREADS as fallback; passive MC runs "
+                             "batched in the calling thread")
     p_rand.add_argument("--allow-rect-active", dest="allow_rect_active",
                         action="store_true",
                         help="allow K > N active sampling by truncating the "

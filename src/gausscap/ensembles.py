@@ -9,14 +9,14 @@ form
 
 with m = min(K, N), a = max(K, N) - min(K, N) and b = N + M - K - N (= M - K),
 valid when b >= 0.  Expected capacities under uniform power allocation follow
-by integrating the single-mode capacity against p(lambda); Monte Carlo
-estimates of the same quantity use per-sample counter-based RNG streams so
-results are bit-identical for a given seed regardless of worker count.
+by integrating the single-mode capacity against p(lambda).  Monte Carlo
+estimates of the same quantity draw the transmissions straight from stacked
+Haar corners, one counter-based RNG stream per sample, so results are
+bit-identical for a given seed however the samples are batched.
 """
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -38,8 +38,14 @@ __all__ = [
     "spectral_density",
     "expected_capacity_passive",
     "mc_expected_capacity_passive",
+    "passive_transmissions",
     "sample_lambda_spectrum",
 ]
+
+# Bytes of Gaussian draws stacked per batched QR.  It bounds the working set
+# whatever the sample count; results do not depend on it.
+_CHUNK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -214,6 +220,9 @@ def run_indexed(eval_one, samples, threads=None):
         for i in range(samples):
             out[i] = eval_one(i)
     else:
+        # imported here: only threaded runs need it, and it pulls in logging
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             for i, value in enumerate(pool.map(eval_one, range(samples))):
                 out[i] = value
@@ -223,15 +232,52 @@ def run_indexed(eval_one, samples, threads=None):
 def mc_expected_capacity_passive(spec, P, method, samples, seed=None, threads=None):
     """Monte-Carlo estimate of the expected passive-channel capacity.
 
-    Samples channels, decomposes each into singular modes, applies the
-    uniform allocation P/N on the min(K, N) signal-carrying modes, and
+    Draws the transmissions of each sample (passive_transmissions), applies
+    the uniform allocation P/N on the min(K, N) signal-carrying modes, and
     returns (mean, standard error) in bits.  The seed defaults to spec.seed.
-    This is the active-ensemble estimator at sigma2 = 0.
+    This is the active-ensemble estimator at sigma2 = 0, which runs batched
+    in the calling thread whatever `threads` says.
     """
     from .active import mc_capacity_active
 
     return mc_capacity_active(replace(spec, sigma2=0.0), P, method, samples,
                               seed, threads, allow_rect=True)
+
+
+def _haar_corner_chunks(spec, samples, seed):
+    """K x N corner blocks A_1 of the Haar draws of samples 0..samples-1.
+
+    Yields (start, corners) in sample order, with corners a stacked
+    (chunk, K, N) complex array for samples start, start + 1, ...  Sample i
+    takes the same (N+M) x (N+M) complex Gaussian from philox_stream(seed, i)
+    as haar_unitary, real part then imaginary part.  A thin QR of its first N
+    columns gives the first N columns of that unitary up to one phase per
+    column, which changes neither the singular values of A_1 nor A_1 A_1^dag.
+    """
+    dim = spec.N + spec.M
+    per_chunk = max(1, _CHUNK_BYTES // (16 * dim * dim))
+    draws = np.empty((min(per_chunk, samples), 2, dim, dim))
+    for start in range(0, samples, per_chunk):
+        chunk = draws[: min(per_chunk, samples - start)]
+        for j, g in enumerate(chunk):
+            philox_stream(seed, start + j).standard_normal(out=g)
+        z = chunk[:, 0, :, : spec.N] + 1j * chunk[:, 1, :, : spec.N]
+        yield start, np.linalg.qr(z)[0][:, : spec.K, :]
+
+
+def passive_transmissions(spec, samples, seed=None):
+    """Transmissions lambda_k = svd(A_1)^2 of Monte-Carlo passive samples.
+
+    Returns a (samples, min(K, N)) array whose row i, sorted descending, holds
+    the transmissions of passive_channel_sample(spec, philox_stream(seed, i))
+    without building the channel.  The seed defaults to spec.seed.
+    """
+    base_seed = spec.seed if seed is None else seed
+    out = np.empty((samples, min(spec.K, spec.N)))
+    for start, corners in _haar_corner_chunks(spec, samples, base_seed):
+        singulars = np.linalg.svd(corners, compute_uv=False)
+        out[start: start + len(corners)] = singulars ** 2
+    return out
 
 
 def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):
@@ -246,16 +292,14 @@ def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):
     base_seed = spec.seed if seed is None else seed
     m = min(spec.K, spec.N)
     out = np.empty((samples, m))
-    for i in range(samples):
-        rng = philox_stream(base_seed, i)
-        u = haar_unitary(spec.N + spec.M, rng)
-        H = real_representation(u[: spec.K, : spec.N])
-        w = np.linalg.eigvalsh(H @ H.T)[::-1]
-        gaps = np.abs(w[0::2] - w[1::2])
+    for start, corners in _haar_corner_chunks(spec, samples, base_seed):
+        H = real_representation(corners)
+        w = np.linalg.eigvalsh(H @ np.swapaxes(H, -1, -2))[:, ::-1]
+        gaps = np.abs(w[:, 0::2] - w[:, 1::2])
         if gaps.max() > pair_tol:
             raise AssertionError(
                 "real-representation spectrum not doubly degenerate: gap %g"
                 % gaps.max()
             )
-        out[i] = 0.5 * (w[0::2] + w[1::2])[:m]
+        out[start: start + len(corners)] = 0.5 * (w[:, 0::2] + w[:, 1::2])[:, :m]
     return out.ravel()

@@ -97,10 +97,13 @@ def test_03_random_channel_analytic_vs_mc():
 
 
 def test_04_spectral_density_law():
-    samples, bins = 10 ** 4, 50
+    # 10^5 samples put the expected L1 of a 50-bin histogram near 0.018, well
+    # under the gate; at 10^4 the noise floor alone (about 0.056 for the
+    # uniform single-mode law) would exceed it.
+    samples, bins, seed = 10 ** 5, 50, 0
     edges = np.linspace(0.0, 1.0, bins + 1)
     worst_l1, worst_norm = 0.0, 0.0
-    for (N, K, M), seed in [((1, 1, 1), 12), ((2, 2, 2), 0), ((2, 1, 2), 18)]:
+    for N, K, M in [(1, 1, 1), (2, 2, 2), (2, 1, 2)]:
         spec = EnsembleSpec(N=N, K=K, M=M)
         density = ensembles.spectral_density(spec)
         norm = sum(_gauss_legendre_avg(density, lo, hi, points=64) * (hi - lo)

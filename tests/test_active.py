@@ -2,21 +2,26 @@
 and the Monte-Carlo capacity estimator."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
 
 from gausscap.active import (
+    _passive_bits,
     active_sample,
     bogoliubov_sample,
     bogoliubov_to_symplectic,
     mc_capacity_active,
 )
+from gausscap.capacity import diagonal_capacity
 from gausscap.channels import NoiseParams, validate_channel
+from gausscap.decomposition import diagonal_channel_params
 from gausscap.ensembles import (
     EnsembleSpec,
     expected_capacity_passive,
     passive_channel_sample,
+    passive_transmissions,
     philox_stream,
 )
 from gausscap.errors import InsufficientEnvironment
@@ -146,3 +151,47 @@ class TestMonteCarloActive:
         plain = mc_capacity_active(s, 6.0, "holevo", 200)
         filled = mc_capacity_active(s, 6.0, "holevo", 200, waterfill=True)
         assert filled[0] >= plain[0] - 1e-12
+
+
+def _printed_close(text, value, tol):
+    # a %.12g value is within half a unit of its 12th significant digit
+    half_unit = 0.5 * 10.0 ** (math.floor(math.log10(abs(value))) - 11)
+    return abs(float(text) - value) <= tol + half_unit
+
+
+@pytest.mark.parametrize("N,K,M", [(1, 1, 1), (2, 2, 2), (2, 1, 2), (2, 3, 3),
+                                   (3, 2, 2)])
+def test_batched_passive_matches_per_sample_channels(N, K, M, tmp_path):
+    # The reference is the per-sample path: build each channel, decompose
+    # it, evaluate diagonal_capacity.  2,000 samples per configuration make
+    # 10^4 over the five; water-filling is checked on every third sample per
+    # method, as the bisection dominates the run time.
+    samples, seed, P, tol = 2000, 23, 6.0, 1e-12
+    spec = EnsembleSpec(N=N, K=K, M=M, noise=NoiseParams(0.3, 0.1), seed=seed)
+    channels = [passive_channel_sample(spec, philox_stream(seed, i))
+                for i in range(samples)]
+    params = [diagonal_channel_params(ch) for ch in channels]
+    lams = passive_transmissions(spec, samples)
+    ref_lams = np.array([[p[0] for p in row[:min(K, N)]] for row in params])
+    assert np.max(np.abs(lams - ref_lams)) <= tol
+    for j, method in enumerate(("holevo", "het", "hom")):
+        ref = [diagonal_capacity(p, P, method, "uniform", N).bits for p in params]
+        bits = _passive_bits(spec, lams, P, method, waterfill=False)
+        assert np.max(np.abs(bits - ref)) <= tol
+        rows = np.arange(j, samples, 3)
+        ref_wf = [diagonal_capacity(params[i], P, method, "waterfill", N).bits
+                  for i in rows]
+        bits_wf = _passive_bits(spec, lams[rows], P, method, waterfill=True)
+        assert np.max(np.abs(bits_wf - ref_wf)) <= tol
+
+        path = tmp_path / ("%s.csv" % method)
+        got = mc_capacity_active(spec, P, method, samples, allow_rect=True,
+                                 dump_path=str(path))
+        assert got == (float(np.mean(bits)),
+                       float(np.std(bits, ddof=1) / math.sqrt(samples)))
+        with open(path, newline="") as fh:
+            dumped = list(csv.reader(fh))[1:]
+        assert [int(row[0]) for row in dumped] == list(range(samples))
+        for row, ref_bits, ch in zip(dumped, ref, channels):
+            assert _printed_close(row[1], ref_bits, tol)
+            assert _printed_close(row[2], np.linalg.norm(ch.H_s, 2) ** 2, tol)

@@ -115,6 +115,59 @@ class TestCapacity:
                       repr(P), "--method", "classical", "--alloc", "uniform")
         assert code == EXIT_INPUT
 
+    def test_default_alloc_follows_the_channel(self, capsys, tmp_path):
+        # an unset --alloc water-fills a diagonalizable channel and splits a
+        # general one uniformly; an explicit waterfill is still refused there
+        spec = EnsembleSpec(2, 2, 2, noise=NoiseParams(0.3, 0.1), sigma2=0.05)
+        general = write_channel(tmp_path / "active.json",
+                                active_sample(spec, philox_stream(4, 0)))
+        code, out = run(capsys, "capacity", "--channel", general, "--power", "5")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["alloc"] == "uniform" and report["allocation"] == []
+        code, uniform = run(capsys, "capacity", "--channel", general, "--power",
+                            "5", "--alloc", "uniform")
+        assert json.loads(uniform)["bits"] == report["bits"]
+        code, _ = run(capsys, "capacity", "--channel", general, "--power", "5",
+                      "--alloc", "waterfill")
+        assert code == EXIT_INPUT
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"alloc": "waterfill"}))
+        code, _ = run(capsys, "capacity", "--channel", general, "--power", "5",
+                      "--config", str(cfg))
+        assert code == EXIT_INPUT
+
+        diagonal = write_channel(tmp_path / "loss.json",
+                                 block_form_channel(np.diag([0.9, 0.5])))
+        code, out = run(capsys, "capacity", "--channel", diagonal, "--power", "5")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["alloc"] == "waterfill" and report["mu"] is not None
+
+    def test_infinite_water_level_is_null(self, capsys):
+        # the holevo threshold of a noise-free mode at zero power is infinite
+        code, out = run(capsys, "capacity", "--lambdas", "0.5", "--power", "0")
+        assert code == EXIT_OK
+        report = json.loads(out, parse_constant=pytest.fail)
+        assert report["bits"] == 0.0 and report["mu"] is None
+
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--lambdas", "0.5", "--power", "nan"],
+        ["capacity", "--lambdas", "0.5", "--power", "5", "--n", "inf"],
+        ["capacity", "--lambdas", "0.5", "--power", "5", "--xi=-inf"],
+        ["capacity", "--lambdas", "0.5,nan", "--power", "5"],
+        ["capacity", "--lambdas-rule", "1e308*10*k", "--N", "2", "--power", "5"],
+        ["sweep-modes", "--N-range", "1..2", "--power", "inf"],
+        ["random", "--N", "1", "--mode", "mc", "--seed", "1", "--samples",
+         "4", "--power", "nan"],
+        ["random", "--N", "1", "--mode", "mc", "--seed", "1", "--samples",
+         "4", "--power", "5", "--sigma2", "nan"],
+    ], ids=["power", "n", "xi", "lambdas", "lambdas-rule", "sweep-power",
+            "random-power", "sigma2"])
+    def test_non_finite_numbers_are_input_errors(self, capsys, argv):
+        code, out = run(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+
     def test_missing_channel_file(self, capsys, tmp_path):
         code, _ = run(capsys, "capacity", "--channel",
                       str(tmp_path / "nope.json"), "--power", "1")
@@ -295,3 +348,9 @@ class TestEvalRule:
             eval_rule("k**N", k=2, N=3)
         with pytest.raises(ValueError):
             eval_rule("q+1", k=1, N=2)
+
+    def test_rejects_division_by_zero_and_non_finite_results(self):
+        with pytest.raises(ValueError):
+            eval_rule("1/(N-2)", N=2)
+        with pytest.raises(ValueError):
+            eval_rule("1e308*10-1e308*10")

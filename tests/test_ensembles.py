@@ -4,6 +4,7 @@ analytic expected capacities and the seeded Monte Carlo estimator."""
 import numpy as np
 import pytest
 
+from gausscap import ensembles
 from gausscap._kernels import jacobi_sq_series
 from gausscap.channels import NoiseParams
 from gausscap.ensembles import (
@@ -14,6 +15,7 @@ from gausscap.ensembles import (
     jacobi_polynomial,
     mc_expected_capacity_passive,
     passive_channel_sample,
+    passive_transmissions,
     philox_stream,
     sample_lambda_spectrum,
     spectral_density,
@@ -178,6 +180,20 @@ class TestMonteCarlo:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             mc_expected_capacity_passive(spec_for(1, 1, 1), 1.0, "het", 1)
+
+    def test_chunking_does_not_change_results(self, monkeypatch):
+        s = spec_for(2, 2, 2, seed=19, n=0.3, xi=0.1)
+        whole = mc_expected_capacity_passive(s, 9.0, "holevo", 50)
+        lams = passive_transmissions(s, 50)
+        spectrum = sample_lambda_spectrum(s, 50)
+        assert len(list(ensembles._haar_corner_chunks(s, 50, 19))) == 1
+        # seven 4 x 4 complex draws per chunk: eight chunks, the last of one
+        monkeypatch.setattr(ensembles, "_CHUNK_BYTES", 7 * 16 * 4 * 4)
+        sizes = [len(c) for _, c in ensembles._haar_corner_chunks(s, 50, 19)]
+        assert sizes == [7] * 7 + [1]
+        assert mc_expected_capacity_passive(s, 9.0, "holevo", 50) == whole
+        assert np.array_equal(passive_transmissions(s, 50), lams)
+        assert np.array_equal(sample_lambda_spectrum(s, 50), spectrum)
 
 
 def test_philox_streams_are_keyed_by_index():
