@@ -17,6 +17,8 @@ bit-identical for a given seed however the samples are batched.
 
 import math
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -45,6 +47,9 @@ __all__ = [
 # Bytes of Gaussian draws stacked per batched QR.  It bounds the working set
 # whatever the sample count; results do not depend on it.
 _CHUNK_BYTES = 4 << 20
+
+_BLAS_LOCK = threading.Lock()
+_blas_state = {"users": 0, "threads": None}
 
 
 @dataclass(frozen=True)
@@ -244,6 +249,63 @@ def mc_expected_capacity_passive(spec, P, method, samples, seed=None, threads=No
                               seed, threads, allow_rect=True)
 
 
+@lru_cache(maxsize=None)
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None.
+
+    numpy wheels ship OpenBLAS in numpy.libs (Linux, Windows) or
+    numpy/.dylibs (macOS); a numpy built against another BLAS gives None.
+    """
+    import ctypes
+    import glob
+
+    here = os.path.dirname(os.path.abspath(np.__file__))
+    for path in (glob.glob(os.path.join(here + ".libs", "*openblas*"))
+                 + glob.glob(os.path.join(here, ".dylibs", "*openblas*"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                               ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, "%s_get_num_threads%s" % (prefix, suffix), None)
+            put = getattr(lib, "%s_set_num_threads%s" % (prefix, suffix), None)
+            if get is not None and put is not None:
+                get.restype, put.restype = ctypes.c_int, None
+                put.argtypes = [ctypes.c_int]
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS on one thread, then restore it.
+
+    The passive sampler's batched LAPACK calls work matrix by matrix on
+    (N+M) x N blocks; extra OpenBLAS threads make them slower, spin on the
+    other cores, and round differently, so on one thread the transmissions
+    do not depend on the core count.  Nested and concurrent blocks share one
+    saved count, restored when the last of them ends.
+    """
+    calls = _openblas_threads()
+    if calls is None:
+        yield
+        return
+    get, put = calls
+    with _BLAS_LOCK:
+        if _blas_state["users"] == 0:
+            _blas_state["threads"] = get()
+            put(1)
+        _blas_state["users"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LOCK:
+            _blas_state["users"] -= 1
+            if _blas_state["users"] == 0:
+                put(_blas_state["threads"])
+
+
 def _haar_corner_chunks(spec, samples, seed):
     """K x N corner blocks A_1 of the Haar draws of samples 0..samples-1.
 
@@ -274,9 +336,10 @@ def passive_transmissions(spec, samples, seed=None):
     """
     base_seed = spec.seed if seed is None else seed
     out = np.empty((samples, min(spec.K, spec.N)))
-    for start, corners in _haar_corner_chunks(spec, samples, base_seed):
-        singulars = np.linalg.svd(corners, compute_uv=False)
-        out[start: start + len(corners)] = singulars ** 2
+    with _one_blas_thread():
+        for start, corners in _haar_corner_chunks(spec, samples, base_seed):
+            singulars = np.linalg.svd(corners, compute_uv=False)
+            out[start: start + len(corners)] = singulars ** 2
     return out
 
 
@@ -292,14 +355,15 @@ def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):
     base_seed = spec.seed if seed is None else seed
     m = min(spec.K, spec.N)
     out = np.empty((samples, m))
-    for start, corners in _haar_corner_chunks(spec, samples, base_seed):
-        H = real_representation(corners)
-        w = np.linalg.eigvalsh(H @ np.swapaxes(H, -1, -2))[:, ::-1]
-        gaps = np.abs(w[:, 0::2] - w[:, 1::2])
-        if gaps.max() > pair_tol:
-            raise AssertionError(
-                "real-representation spectrum not doubly degenerate: gap %g"
-                % gaps.max()
-            )
-        out[start: start + len(corners)] = 0.5 * (w[:, 0::2] + w[:, 1::2])[:, :m]
+    with _one_blas_thread():
+        for start, corners in _haar_corner_chunks(spec, samples, base_seed):
+            H = real_representation(corners)
+            w = np.linalg.eigvalsh(H @ np.swapaxes(H, -1, -2))[:, ::-1]
+            gaps = np.abs(w[:, 0::2] - w[:, 1::2])
+            if gaps.max() > pair_tol:
+                raise AssertionError(
+                    "real-representation spectrum not doubly degenerate: gap %g"
+                    % gaps.max()
+                )
+            out[start: start + len(corners)] = 0.5 * (w[:, 0::2] + w[:, 1::2])[:, :m]
     return out.ravel()

@@ -196,6 +196,40 @@ class TestMonteCarlo:
         assert np.array_equal(sample_lambda_spectrum(s, 50), spectrum)
 
 
+class TestOneBlasThread:
+    @pytest.fixture
+    def blas(self):
+        calls = ensembles._openblas_threads()
+        if calls is None:
+            pytest.skip("numpy does not ship its own OpenBLAS")
+        return calls
+
+    def test_sets_one_thread_and_restores(self, blas):
+        get, put = blas
+        before = get()
+        with ensembles._one_blas_thread():
+            assert get() == 1
+            with ensembles._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == before
+
+    def test_transmissions_do_not_depend_on_blas_threads(self, blas):
+        # at N = M = 100 a threaded OpenBLAS rounds the batched QR and SVD
+        # differently from a single-threaded one
+        get, put = blas
+        before = get()
+        s = spec_for(100, 100, 100, seed=3)
+        try:
+            put(1)
+            one = passive_transmissions(s, 2)
+            put(2)
+            two = passive_transmissions(s, 2)
+        finally:
+            put(before)
+        assert np.array_equal(one, two)
+
+
 def test_philox_streams_are_keyed_by_index():
     a = philox_stream(3, 0).standard_normal(4)
     b = philox_stream(3, 1).standard_normal(4)
