@@ -60,10 +60,13 @@ class PowerAllocation:
     total: float
 
     def __post_init__(self):
+        if not math.isfinite(self.total):
+            raise ValueError("power budget must be finite")
         p = np.asarray(self.per_mode, dtype=float)
-        if p.size and p.min() < 0:
-            raise ValueError("allocations must be nonnegative")
-        if p.sum() > self.total + 1e-9:
+        # written so that NaN fails each test; +inf fails the budget
+        if p.size and not (p.min() >= 0):
+            raise ValueError("allocations must be finite and nonnegative")
+        if not (p.sum() <= self.total + 1e-9):
             raise ValueError("allocation exceeds the power budget")
         object.__setattr__(self, "per_mode", p)
 
@@ -176,13 +179,6 @@ def holevo_general(ch, V_mod):
     )
 
 
-def _quantum_wf_photons(w, lams):
-    # Water-filled output photon target x_k = 1/(mu^{1/lambda_k} - 1) at
-    # w = ln mu; expm1 keeps precision near mu -> 1 and overflow maps to 0.
-    with np.errstate(over="ignore"):
-        return 1.0 / np.expm1(w / lams)
-
-
 def waterfill_holevo(params, P):
     """Optimal Holevo power allocation via quantum water-filling.
 
@@ -210,33 +206,40 @@ def waterfill_holevo(params, P):
 
     la, Na = lams[active], Nk[active]
 
+    # The water-filled output photon target of mode k is
+    # x_k = 1/(mu^{1/lambda_k} - 1) at w = ln mu: expm1 keeps precision near
+    # mu -> 1, and an overflow to inf maps x_k to 0, so one errstate covers
+    # the whole search.
     def power_at(w):
-        return float(np.sum(np.maximum(_quantum_wf_photons(w, la) - Na, 0.0) / la))
+        return float((np.maximum(1.0 / np.expm1(w / la) - Na, 0.0) / la).sum())
 
-    w_lo, w_hi = 1e-12, 1.0
-    while power_at(w_lo) < P:
-        w_lo /= 2.0
-        if w_lo < 1e-300:
-            raise NoFeasibleWaterlevel("power budget too large to bracket")
-    while power_at(w_hi) > P:
-        w_hi *= 2.0
-    target_tol = 1e-10 * max(P, 1.0)
-    for _ in range(200):
-        w_mid = 0.5 * (w_lo + w_hi)
-        diff = power_at(w_mid) - P
-        if abs(diff) <= target_tol:
-            break
-        if diff > 0:
-            w_lo = w_mid
+    with np.errstate(over="ignore"):
+        w_lo, w_hi = 1e-12, 1.0
+        while power_at(w_lo) < P:
+            w_lo /= 2.0
+            if w_lo < 1e-300:
+                raise NoFeasibleWaterlevel("power budget too large to bracket")
+        while power_at(w_hi) > P:
+            w_hi *= 2.0
+        target_tol = 1e-10 * max(P, 1.0)
+        for _ in range(200):
+            w_mid = 0.5 * (w_lo + w_hi)
+            diff = power_at(w_mid) - P
+            if abs(diff) <= target_tol:
+                break
+            if diff > 0:
+                w_lo = w_mid
+            else:
+                w_hi = w_mid
         else:
-            w_hi = w_mid
-    else:
-        w_mid = 0.5 * (w_lo + w_hi)
-
-    per_mode = np.zeros(lams.shape)
-    per_mode[active] = np.maximum(_quantum_wf_photons(w_mid, la) - Na, 0.0) / la
+            w_mid = 0.5 * (w_lo + w_hi)
+        per_mode = np.zeros(lams.shape)
+        per_mode[active] = np.maximum(1.0 / np.expm1(w_mid / la) - Na, 0.0) / la
     # absorb the bisection residual so the allocation spends exactly P
     total = per_mode.sum()
+    if not math.isfinite(total):
+        raise NoFeasibleWaterlevel(
+            "water-filled allocation is not finite: %s" % total)
     if total > 0.0:
         per_mode *= P / total
     alloc = PowerAllocation(per_mode, float(P))

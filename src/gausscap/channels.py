@@ -14,6 +14,7 @@ per mode plus classical additive noise xi gives the thermal noise matrix
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +54,8 @@ class NoiseParams:
     xi: float = 0.0
 
     def __post_init__(self):
+        if not (math.isfinite(self.n) and math.isfinite(self.xi)):
+            raise ValueError("noise parameters must be finite")
         if self.n < 0 or self.xi < 0:
             raise ValueError("noise parameters must be nonnegative")
 
@@ -248,4 +251,6 @@ def channel_from_json(text):
         raise InvalidChannel("malformed channel JSON: %s" % exc) from None
     if H_s.shape != (2 * n_out, 2 * n_in):
         raise DimensionMismatch("H_s shape does not match n_in/n_out")
+    if not (np.isfinite(H_s).all() and np.isfinite(Y).all()):
+        raise ValueError("channel matrices must be finite")
     return GaussianChannel(H_s, Y, noise)

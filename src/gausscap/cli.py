@@ -10,13 +10,15 @@ Subcommands:
 
 Every command is deterministic given its flags and seed.  Flags can also be
 supplied through ``--config FILE`` (a JSON object whose keys are the long
-flag names with dashes replaced by underscores); explicit flags win.  Exit
-codes: 0 ok, 2 input error, 3 unphysical parameters, 4 ensemble-parameter
+flag names of the subcommand with dashes replaced by underscores; any other
+key is an input error); explicit flags win.  Exit codes: 0 ok, 2 input
+error, 3 unphysical parameters or a non-finite result, 4 ensemble-parameter
 error, 64 usage.
 """
 
 import argparse
 import ast
+import functools
 import json
 import math
 import sys
@@ -64,6 +66,13 @@ def _fmt(x):
     return "%.12g" % x
 
 
+def _finite_result(x):
+    """x, refusing a NaN or infinite result as unphysical (exit 3)."""
+    if not math.isfinite(x):
+        raise UnphysicalOutput("result is not finite: %s" % x)
+    return x
+
+
 def _finite(value, flag):
     """float(value), refusing NaN and +-inf as input errors."""
     x = float(value)
@@ -75,6 +84,43 @@ def _finite(value, flag):
 _RULE_OPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
 
 
+@functools.lru_cache(maxsize=64)
+def _rule_tree(expr):
+    """The parsed body of a rule; each distinct rule text is parsed once."""
+    try:
+        return ast.parse(expr, mode="eval").body
+    except SyntaxError as exc:
+        raise ValueError("cannot parse rule %r: %s" % (expr, exc)) from None
+
+
+def _eval_node(node, names, expr):
+    """Value of a rule's syntax tree; `names` maps to floats or float arrays.
+
+    The operations are float64 + - * / in the tree's order, so an array
+    argument gives, elementwise, the same bits as the scalar evaluations.
+    """
+    if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
+        left = _eval_node(node.left, names, expr)
+        right = _eval_node(node.right, names, expr)
+        if isinstance(node.op, ast.Add):
+            return left + right
+        if isinstance(node.op, ast.Sub):
+            return left - right
+        if isinstance(node.op, ast.Mult):
+            return left * right
+        if np.any(right == 0):
+            raise ValueError("division by zero in rule %r" % expr)
+        return left / right
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        return (_eval_node(node.operand, names, expr)
+                * (-1.0 if isinstance(node.op, ast.USub) else 1.0))
+    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        return float(node.value)
+    if isinstance(node, ast.Name) and node.id in names:
+        return names[node.id]
+    raise ValueError("unsupported token in rule %r" % expr)
+
+
 def eval_rule(expr, **names):
     """Evaluate a tiny arithmetic expression over the given variable names.
 
@@ -82,37 +128,31 @@ def eval_rule(expr, **names):
     per-mode transmission rules like "0.2+0.7*k/N".  A division by zero or a
     non-finite result raises ValueError.
     """
-
-    def ev(node):
-        if isinstance(node, ast.Expression):
-            return ev(node.body)
-        if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
-            left, right = ev(node.left), ev(node.right)
-            if isinstance(node.op, ast.Add):
-                return left + right
-            if isinstance(node.op, ast.Sub):
-                return left - right
-            if isinstance(node.op, ast.Mult):
-                return left * right
-            if right == 0:
-                raise ValueError("division by zero in rule %r" % expr)
-            return left / right
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-            return ev(node.operand) * (-1.0 if isinstance(node.op, ast.USub) else 1.0)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            return float(node.value)
-        if isinstance(node, ast.Name) and node.id in names:
-            return float(names[node.id])
-        raise ValueError("unsupported token in rule %r" % expr)
-
-    try:
-        tree = ast.parse(expr, mode="eval")
-    except SyntaxError as exc:
-        raise ValueError("cannot parse rule %r: %s" % (expr, exc)) from None
-    value = ev(tree)
+    values = {name: float(value) for name, value in names.items()}
+    value = _eval_node(_rule_tree(expr), values, expr)
     if not math.isfinite(value):
         raise ValueError("rule %r is not finite: %r" % (expr, value))
     return value
+
+
+def _rule_values(expr, N):
+    """[eval_rule(expr, k=k, N=N) for k in 1..N], evaluated as one array.
+
+    A rule without k gives the same value for every mode.  On an error, the
+    scalar loop reruns, so the message names the first k that fails, exactly
+    as the loop would.
+    """
+    modes = np.arange(1.0, N + 1)
+    try:
+        with np.errstate(all="ignore"):
+            values = _eval_node(_rule_tree(expr), {"k": modes, "N": float(N)},
+                                expr)
+        values = np.broadcast_to(values, modes.shape)
+        if np.isfinite(values).all():
+            return values.tolist()
+    except ValueError:
+        pass
+    return [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
 
 
 def _parse_range(text):
@@ -143,6 +183,12 @@ def _apply_config(args, defaults):
             cfg = json.load(fh)
         if not isinstance(cfg, dict):
             raise ValueError("config file must hold a JSON object")
+        # the subcommand's option destinations, not argparse's bookkeeping
+        options = set(vars(args)) - {"command", "func", "defaults"}
+        for key in cfg:
+            if key not in options:
+                raise ValueError("unknown config key %r for %s"
+                                 % (key, args.command))
     for key, value in cfg.items():
         if getattr(args, key, None) is None:
             setattr(args, key, value)
@@ -170,8 +216,7 @@ def _channel_params(args, parser):
             raise ValueError("--lambdas must list at least one value")
     elif args.lambdas_rule is not None:
         _require(parser, args, "N")
-        N = int(args.N)
-        lams = [eval_rule(args.lambdas_rule, k=k, N=N) for k in range(1, N + 1)]
+        lams = _rule_values(args.lambdas_rule, int(args.N))
     else:
         parser.error("one of --channel, --lambdas or --lambdas-rule is required")
     if min(lams) < 0:
@@ -201,7 +246,7 @@ def cmd_capacity(args, parser):
     per_mode = [] if res.allocation is None else res.allocation.per_mode
     mu = res.waterlevel
     report = {
-        "bits": res.bits,
+        "bits": _finite_result(res.bits),
         "method": args.method,
         "alloc": alloc,
         "allocation": [float(p) for p in per_mode],
@@ -230,7 +275,7 @@ def cmd_sweep_modes(args, parser):
     xi = _finite(args.xi, "--xi")
     lines = ["N,method,alloc,bits"]
     for N in n_values:
-        lams = [eval_rule(args.lambdas_rule, k=k, N=N) for k in range(1, N + 1)]
+        lams = _rule_values(args.lambdas_rule, N)
         if min(lams) < 0:
             raise ValueError("transmissions must be nonnegative")
         params = [(lam, noise_n, xi) for lam in lams]
@@ -238,7 +283,8 @@ def cmd_sweep_modes(args, parser):
             for alloc in allocs:
                 bits = capacity.diagonal_capacity(params, P, method, alloc,
                                                   N).bits
-                lines.append("%d,%s,%s,%s" % (N, method, alloc, _fmt(bits)))
+                lines.append("%d,%s,%s,%s"
+                             % (N, method, alloc, _fmt(_finite_result(bits))))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
@@ -264,13 +310,13 @@ def cmd_random(args, parser):
                                       sigma2=sigma2, seed=int(args.seed or 0))
         if args.mode == "analytic":
             bits = ensembles.expected_capacity_passive(spec, P, args.method)
-            rows.append((spec, bits, None))
+            rows.append((spec, _finite_result(bits), None))
         else:
             mean, se = active.mc_capacity_active(
                 spec, P, args.method, int(args.samples),
                 threads=threads, allow_rect=args.allow_rect_active,
                 dump_path=args.dump_samples)
-            rows.append((spec, mean, se))
+            rows.append((spec, _finite_result(mean), _finite_result(se)))
     lines = ["N,K,M,sigma2,method,mode,bits,stderr"]
     for spec, bits, se in rows:
         lines.append("%d,%d,%d,%s,%s,%s,%s,%s" % (
@@ -287,7 +333,8 @@ def cmd_density(args, parser):
     grid = np.linspace(0.0, 1.0, int(args.grid))
     values = density.pdf(grid)
     lines = ["lambda,p_lambda"]
-    lines.extend("%s,%s" % (_fmt(lam), _fmt(p)) for lam, p in zip(grid, values))
+    lines.extend("%s,%s" % (_fmt(lam), _fmt(_finite_result(p)))
+                 for lam, p in zip(grid, values))
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

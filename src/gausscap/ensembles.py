@@ -76,6 +76,8 @@ class EnsembleSpec:
                 "K = %d receiver modes cannot be cut out of an (N+M) = %d "
                 "mode unitary" % (self.K, self.N + self.M)
             )
+        if not math.isfinite(self.sigma2):
+            raise ValueError("sigma2 must be finite")
         if self.sigma2 < 0:
             raise ValueError("sigma2 must be >= 0")
 

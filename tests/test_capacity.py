@@ -58,6 +58,15 @@ def test_power_allocation_validation():
         PowerAllocation(np.array([2.0, 2.0]), 1.0)
 
 
+@pytest.mark.parametrize("per_mode, total", [
+    ([0.5, np.nan], 1.0), ([np.inf, 0.0], 1.0), ([-np.inf, 0.5], 1.0),
+    ([0.5, 0.5], np.nan), ([0.5, 0.5], np.inf), ([np.inf], np.inf),
+], ids=["nan", "inf", "-inf", "nan-total", "inf-total", "inf-both"])
+def test_power_allocation_rejects_non_finite(per_mode, total):
+    with pytest.raises(ValueError):
+        PowerAllocation(np.array(per_mode), total)
+
+
 class TestHolevo:
     def test_pure_loss_closed_form(self):
         # chi of a pure-loss channel is g(lambda P): the g(N) terms cancel
@@ -153,6 +162,92 @@ class TestQuantumWaterfilling:
             res = cap.waterfill_holevo(params, P)
             uni = cap.holevo_diagonal(params, cap.uniform_allocation(3, P))
             assert res.bits >= uni - 1e-9
+
+
+def _reference_waterfill_holevo(params, P):
+    """Quantum water-filling with a numpy errstate and np.sum in every step.
+
+    A copy of the bisection that predates its one-errstate form, returning
+    (bits, per_mode, mu).
+    """
+    def photons(w, lams):
+        with np.errstate(over="ignore"):
+            return 1.0 / np.expm1(w / lams)
+
+    lams, Nk = cap._checked_noise(params)
+    active = lams > 0
+    if P == 0 or not active.any():
+        mu = None
+        if active.any():
+            with np.errstate(divide="ignore"):
+                mu = float(np.max((1.0 + 1.0 / Nk[active]) ** lams[active]))
+        return 0.0, np.zeros(lams.shape), mu
+    la, Na = lams[active], Nk[active]
+
+    def power_at(w):
+        return float(np.sum(np.maximum(photons(w, la) - Na, 0.0) / la))
+
+    w_lo, w_hi = 1e-12, 1.0
+    while power_at(w_lo) < P:
+        w_lo /= 2.0
+    while power_at(w_hi) > P:
+        w_hi *= 2.0
+    target_tol = 1e-10 * max(P, 1.0)
+    for _ in range(200):
+        w_mid = 0.5 * (w_lo + w_hi)
+        diff = power_at(w_mid) - P
+        if abs(diff) <= target_tol:
+            break
+        if diff > 0:
+            w_lo = w_mid
+        else:
+            w_hi = w_mid
+    else:
+        w_mid = 0.5 * (w_lo + w_hi)
+    per_mode = np.zeros(lams.shape)
+    per_mode[active] = np.maximum(photons(w_mid, la) - Na, 0.0) / la
+    total = per_mode.sum()
+    if total > 0.0:
+        per_mode *= P / total
+    bits = cap.holevo_diagonal(params, PowerAllocation(per_mode, float(P)))
+    return bits, per_mode, float(math.exp(w_mid))
+
+
+def test_waterfill_holevo_bit_identical_to_reference():
+    rng = np.random.default_rng(20261018)
+    budgets = {"zero": 0, "tiny": 0, "large": 0}
+    for _ in range(2000):
+        modes = int(rng.integers(1, 25))
+        lams = rng.uniform(0.0, 1.0, size=modes)
+        lams[rng.uniform(size=modes) < 0.1] = 0.0
+        lams[rng.uniform(size=modes) < 0.1] += rng.uniform(0.0, 2.0)
+        n = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 1.0))
+        xi = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 0.5))
+        u = rng.uniform()
+        if u < 0.1:
+            P = 0.0
+        elif u < 0.25:
+            P = float(10.0 ** rng.uniform(-9.0, -6.0))
+        elif u < 0.4:
+            P = float(10.0 ** rng.uniform(4.0, 6.0))
+        else:
+            P = float(10.0 ** rng.uniform(-3.0, 3.0))
+        budgets["zero"] += P == 0
+        budgets["tiny"] += 0 < P <= 1e-6
+        budgets["large"] += P >= 1e4
+        params = [(float(lam), n, xi) for lam in lams]
+        res = cap.waterfill_holevo(params, P)
+        bits, per_mode, mu = _reference_waterfill_holevo(params, P)
+        assert res.bits == bits
+        assert res.allocation.per_mode.tobytes() == per_mode.tobytes()
+        assert res.waterlevel == mu
+    assert min(budgets.values()) >= 100
+
+
+def test_waterfill_holevo_refuses_an_overflowing_allocation():
+    with np.errstate(all="ignore"):
+        with pytest.raises(NoFeasibleWaterlevel):
+            cap.waterfill_holevo([(1e308, 0.0, 0.0)], 5.0)
 
 
 class TestHetHom:

@@ -1,5 +1,7 @@
 """Channel construction, validity and serialization tests."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,22 @@ def test_noise_params_validation():
         NoiseParams(-0.1, 0.0)
     with pytest.raises(ValueError):
         NoiseParams(0.0, -1e-6)
+
+
+@pytest.mark.parametrize("n, xi", [(np.nan, 0.0), (np.inf, 0.0),
+                                   (0.0, np.nan), (0.0, np.inf)])
+def test_noise_params_must_be_finite(n, xi):
+    with pytest.raises(ValueError):
+        NoiseParams(n, xi)
+
+
+@pytest.mark.parametrize("key, value", [("H_s", np.nan), ("H_s", -np.inf),
+                                        ("Y", np.inf), ("Y", np.nan)])
+def test_json_rejects_non_finite_matrix_entries(key, value):
+    obj = json.loads(channel_to_json(block_form_channel(np.array([[0.8]]))))
+    obj[key][1][1] = value    # json writes these as NaN / Infinity
+    with pytest.raises(ValueError):
+        channel_from_json(json.dumps(obj))
 
 
 def test_quad_indices():

@@ -1,6 +1,7 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from gausscap.cli import (
     EXIT_OK,
     EXIT_UNPHYSICAL,
     EXIT_USAGE,
+    _rule_values,
     eval_rule,
     main,
 )
@@ -168,6 +170,13 @@ class TestCapacity:
         code, out = run(capsys, *argv)
         assert code == EXIT_INPUT and out == ""
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_unphysical(self, capsys):
+        # the water level overflows double precision at lambda = 1e308
+        code, out = run(capsys, "capacity", "--lambdas", "1e308", "--power",
+                        "5")
+        assert code == EXIT_UNPHYSICAL and out == ""
+
     def test_missing_channel_file(self, capsys, tmp_path):
         code, _ = run(capsys, "capacity", "--channel",
                       str(tmp_path / "nope.json"), "--power", "1")
@@ -207,6 +216,14 @@ class TestSweepModes:
         assert all(b < a for a, b in zip(bits[1:], bits))  # increasing
         assert bits[-1] < 15.0 / np.log(2.0)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_unphysical(self, capsys):
+        # lambda_k P_k = 1e300 * 5e299 overflows to an infinite rate
+        code, out = run(capsys, "sweep-modes", "--N-range", "1..2",
+                        "--lambdas-rule", "1e300", "--power", "1e300",
+                        "--methods", "het", "--allocs", "uniform")
+        assert code == EXIT_UNPHYSICAL and out == ""
+
     def test_unknown_method_rejected(self, capsys):
         code, _ = run(capsys, "sweep-modes", "--N-range", "1..2", "--power",
                       "1", "--methods", "holevo,telepathy")
@@ -221,6 +238,13 @@ class TestRandom:
         lines = out.strip().split("\n")
         assert lines[0] == "N,K,M,sigma2,method,mode,bits,stderr"
         assert lines[1] == "1,1,1,0,het,analytic,2.82397162578,"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_unphysical(self, capsys):
+        # g(x) computes inf - inf at P = 1e308
+        code, out = run(capsys, "random", "--N", "2", "--mode", "analytic",
+                        "--power", "1e308")
+        assert code == EXIT_UNPHYSICAL and out == ""
 
     def test_mc_needs_seed(self, capsys):
         code, _ = run(capsys, "random", "--N", "1", "--mode", "mc",
@@ -294,6 +318,13 @@ class TestDensity:
         # a = b = 1 here, so the law is symmetric about 1/2
         assert np.allclose(rows[:, 1], rows[::-1, 1], atol=1e-9)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_result_is_unphysical(self, capsys):
+        # the Jacobi series overflows at lambda = 0 and 1 for these sizes
+        code, out = run(capsys, "density", "--N", "200", "--K", "200", "--M",
+                        "600", "--grid", "21")
+        assert code == EXIT_UNPHYSICAL and out == ""
+
     def test_environment_too_small(self, capsys):
         code, _ = run(capsys, "density", "--N", "1", "--K", "2", "--M", "1")
         assert code == EXIT_ENSEMBLE
@@ -312,6 +343,19 @@ class TestPlumbing:
                         str(cfg), "--method", "holevo", "--alloc", "uniform")
         assert json.loads(out)["bits"] == pytest.approx(
             6.0 * np.log2(6.0) - 5.0 * np.log2(5.0), abs=1e-9)
+
+    def test_unknown_config_key_is_input_error(self, capsys, tmp_path):
+        cfg = tmp_path / "typo.json"
+        cfg.write_text(json.dumps({"lambdas": "0.5", "power": 5, "powr": 7}))
+        code = main(["capacity", "--config", str(cfg)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INPUT and captured.out == ""
+        assert "'powr'" in captured.err
+        # a key of another subcommand is unknown here too
+        cfg.write_text(json.dumps({"N_range": "1..2", "power": 5,
+                                   "samples": 10}))
+        code = main(["sweep-modes", "--config", str(cfg)])
+        assert code == EXIT_INPUT and "'samples'" in capsys.readouterr().err
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
@@ -354,3 +398,38 @@ class TestEvalRule:
             eval_rule("1/(N-2)", N=2)
         with pytest.raises(ValueError):
             eval_rule("1e308*10-1e308*10")
+
+
+RULES = ["0.2+0.7*k/N", "1-k/(2*N)", "0.9", "-0.1+k/N", "-(k-N)/N*0.3+0.1",
+         "3*k*k/(N*N)/4", "(k+1)/(N+2)", "k/N/3+0.1*k-0.1*k", "2", "N/(N+1)",
+         "+k/7-N/11+1", "1/k"]
+
+
+class TestRuleValues:
+    """_rule_values evaluates a rule over k = 1..N as one array."""
+
+    @pytest.mark.parametrize("expr", RULES)
+    def test_bit_identical_to_the_scalar_rule(self, expr):
+        for N in range(1, 41):
+            got = _rule_values(expr, N)
+            want = [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
+            assert [type(v) for v in got] == [float] * N
+            assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_empty_range(self):
+        assert _rule_values("0.2+0.7*k/N", 0) == []
+        assert _rule_values("q", 0) == []
+
+    @pytest.mark.parametrize("expr", ["1/(k-2)", "q+1", "1e307*k",
+                                      "1/(1/(k-3))", "1e308*k*10-1e308*k*10",
+                                      "k**2", "(k"])
+    def test_errors_match_the_scalar_rule(self, expr, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ValueError) as scalar:
+                [eval_rule(expr, k=k, N=30) for k in range(1, 31)]
+            with pytest.raises(ValueError) as array:
+                _rule_values(expr, 30)
+        assert str(array.value) == str(scalar.value)
+        assert caught == []
+        assert capsys.readouterr().err == ""

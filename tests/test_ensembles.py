@@ -267,3 +267,8 @@ class TestEnsembleSpecValidation:
     def test_nonnegative_sigma2(self):
         with pytest.raises(ValueError):
             spec_for(1, 1, 1, sigma2=-0.1)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -np.inf])
+    def test_finite_sigma2(self, sigma2):
+        with pytest.raises(ValueError):
+            spec_for(1, 1, 1, sigma2=sigma2)
