@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capacity import _channel_capacity, diagonal_capacity, mode_rates, noise_photons
-from .channels import GaussianChannel, quad_indices, sigma_matrix
+from .channels import GaussianChannel, sigma_matrix
 from .ensembles import (
-    haar_unitary,
+    _phase_fixed_qr,
     passive_channel_sample,
     passive_transmissions,
     philox_stream,
@@ -49,20 +49,38 @@ class BogoliubovSample:
 
 
 def bogoliubov_sample(dim, sigma2, rng):
-    """Draw (U_1, R, U_2) and assemble the Bogoliubov pair (A, B)."""
-    u1 = haar_unitary(dim, rng)
-    r = rng.standard_normal(dim) * math.sqrt(sigma2)
-    u2 = haar_unitary(dim, rng)
+    """Draw (U_1, R, U_2) and assemble the Bogoliubov pair (A, B).
+
+    One standard_normal call takes, in order, U_1's real and imaginary
+    Gaussian parts, r and U_2's real and imaginary parts: the stream that
+    haar_unitary, r, haar_unitary would draw one after another.  One stacked
+    phase-fixed QR then gives both unitaries.
+    """
+    sq = dim * dim
+    g = rng.standard_normal(4 * sq + dim)
+    parts = np.stack([g[: 2 * sq], g[2 * sq + dim:]]).reshape(2, 2, dim, dim)
+    u1, u2 = _phase_fixed_qr(parts[:, 0] + 1j * parts[:, 1])
+    r = g[2 * sq: 2 * sq + dim] * math.sqrt(sigma2)
     a = (u1 * np.cosh(r)) @ u2
     b = (u1 * np.sinh(r)) @ np.conj(u2)
     return BogoliubovSample(U1=u1, U2=u2, R=r, A=a, B=b)
 
 
+def _quadrature_blocks(apb, amb):
+    # [[Re(A+B), -Im(A-B)], [Im(A+B), Re(A-B)]] for any rows and columns of
+    # the pair, so the signal block needs no full transform.
+    K, N = apb.shape
+    H = np.empty((2 * K, 2 * N))
+    H[:K, :N] = apb.real
+    np.negative(amb.imag, out=H[:K, N:])
+    H[K:, :N] = apb.imag
+    H[K:, N:] = amb.real
+    return H
+
+
 def bogoliubov_to_symplectic(sample):
     """Symplectic phase-space matrix of a Bogoliubov pair (q's then p's)."""
-    apb = sample.A + sample.B
-    amb = sample.A - sample.B
-    return np.block([[apb.real, -amb.imag], [apb.imag, amb.real]])
+    return _quadrature_blocks(sample.A + sample.B, sample.A - sample.B)
 
 
 def _check_receivers(spec, allow_rect):
@@ -91,13 +109,10 @@ def active_sample(spec, rng, allow_rect=False):
     _check_receivers(spec, allow_rect)
     if spec.sigma2 == 0:
         return passive_channel_sample(spec, rng)
-    N, K, M = spec.N, spec.K, spec.M
-    dim = N + M
-    sample = bogoliubov_sample(dim, spec.sigma2, rng)
-    H_tilde = bogoliubov_to_symplectic(sample)
-    rows = quad_indices(np.arange(K), dim)
-    cols = quad_indices(np.arange(N), dim)
-    H_s = H_tilde[np.ix_(rows, cols)]
+    N, K = spec.N, spec.K
+    sample = bogoliubov_sample(N + spec.M, spec.sigma2, rng)
+    A, B = sample.A[:K, :N], sample.B[:K, :N]
+    H_s = _quadrature_blocks(A + B, A - B)
     Y = (spec.noise.n + 0.5) * matrix_abs(sigma_matrix(H_s))
     Y = Y + spec.noise.xi * np.eye(2 * K)
     return GaussianChannel(H_s, (Y + Y.T) / 2.0, spec.noise)

@@ -327,9 +327,8 @@ def het_hom_general(ch, V_mod, kind, hom_quads=None):
         N = N[np.ix_(quads, quads)]
     if np.linalg.cond(N) > 1e14:
         raise SingularNoise("measurement noise covariance is singular")
-    _, ld_noise = np.linalg.slogdet(N)
-    _, ld_total = np.linalg.slogdet(N + S)
-    return 0.5 * (ld_total - ld_noise) / _LN2
+    _, ld = np.linalg.slogdet(np.stack([N, N + S]))
+    return 0.5 * (ld[1] - ld[0]) / _LN2
 
 
 def hom_general_aligned(ch, P):
@@ -354,9 +353,8 @@ def hom_general_aligned(ch, P):
     if np.linalg.cond(noise) > 1e14:
         raise SingularNoise("measurement noise covariance is singular")
     sig = np.diag((2.0 * P / ch.in_modes) * s[0:2 * m:2] ** 2)
-    _, ld_noise = np.linalg.slogdet(noise)
-    _, ld_total = np.linalg.slogdet(noise + sig)
-    return 0.5 * (ld_total - ld_noise) / _LN2
+    _, ld = np.linalg.slogdet(np.stack([noise, noise + sig]))
+    return 0.5 * (ld[1] - ld[0]) / _LN2
 
 
 def asymptotic_limits(P, kind):

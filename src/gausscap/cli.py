@@ -114,7 +114,8 @@ def _eval_node(node, names, expr):
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
         return (_eval_node(node.operand, names, expr)
                 * (-1.0 if isinstance(node.op, ast.USub) else 1.0))
-    if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+    if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool)):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
@@ -216,7 +217,7 @@ def _channel_params(args, parser):
             raise ValueError("--lambdas must list at least one value")
     elif args.lambdas_rule is not None:
         _require(parser, args, "N")
-        lams = _rule_values(args.lambdas_rule, int(args.N))
+        lams = _rule_values(str(args.lambdas_rule), int(args.N))
     else:
         parser.error("one of --channel, --lambdas or --lambdas-rule is required")
     if min(lams) < 0:
@@ -273,9 +274,12 @@ def cmd_sweep_modes(args, parser):
     P = _finite(args.power, "--power")
     noise_n = _finite(args.n, "--n")
     xi = _finite(args.xi, "--xi")
+    # a --config number is a rule too; a JSON boolean, list or object
+    # becomes text that no rule token matches
+    rule = str(args.lambdas_rule)
     lines = ["N,method,alloc,bits"]
     for N in n_values:
-        lams = _rule_values(args.lambdas_rule, N)
+        lams = _rule_values(rule, N)
         if min(lams) < 0:
             raise ValueError("transmissions must be nonnegative")
         params = [(lam, noise_n, xi) for lam in lams]

@@ -27,7 +27,7 @@ import numpy as np
 from ._kernels import _jacobi_terms, jacobi_sq_series
 from .capacity import mode_rates, noise_photons
 from .channels import NoiseParams, block_form_channel
-from .errors import InsufficientEnvironment
+from .errors import InsufficientEnvironment, UnphysicalOutput
 from .phasespace import real_representation
 
 __all__ = [
@@ -89,9 +89,20 @@ def haar_unitary(dim, rng):
     diag(R) into Q's columns, which makes the distribution exactly Haar.
     """
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return _phase_fixed_qr(z)
+
+
+def _phase_fixed_qr(z):
+    """Haar unitaries from complex standard Gaussians, one per trailing matrix.
+
+    z is a (..., dim, dim) stack of matrices with independent real and
+    imaginary standard-normal parts.  One stacked QR of z / sqrt(2) and a
+    column phase fix Q diag(R_kk / |R_kk|) give each unitary exactly as a
+    separate haar_unitary call would (Mezzadri, math-ph/0609050).
+    """
     q, r = np.linalg.qr(z / math.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def passive_channel_sample(spec, rng):
@@ -150,6 +161,9 @@ def spectral_density(spec):
     InsufficientEnvironment
         If b = N + M - K - N < 0, i.e. M < K: the truncated-unitary law
         needs at least as many environment as receiver modes.
+    UnphysicalOutput
+        If a normalization 1 / h_k is not a finite double, which happens
+        when h_k underflows at large a + b.
     """
     m = min(spec.K, spec.N)
     a = max(spec.K, spec.N) - m
@@ -159,7 +173,12 @@ def spectral_density(spec):
             "spectral density requires b = N+M-min-max >= 0 (M >= K); "
             "got N=%d K=%d M=%d" % (spec.N, spec.K, spec.M)
         )
-    inv_h = np.array([1.0 / jacobi_norm_h(k, a, b) for k in range(m)])
+    norms = [jacobi_norm_h(k, a, b) for k in range(m)]
+    if min(norms) == 0.0 or math.isinf(1.0 / min(norms)):
+        raise UnphysicalOutput(
+            "Jacobi normalization h_k underflows double precision for "
+            "N=%d K=%d M=%d" % (spec.N, spec.K, spec.M))
+    inv_h = np.array([1.0 / h for h in norms])
     return JacobiDensity(a=a, b=b, terms=m, inv_h=inv_h)
 
 

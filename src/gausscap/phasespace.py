@@ -46,13 +46,30 @@ class Tolerances:
 DEFAULT_TOL = Tolerances()
 
 
+# Read-only symplectic forms by mode count.  Only small forms are kept: there
+# building one costs more than the product it enters, and the cache stays
+# under 3 MB whatever mode counts a process meets.
+_OMEGA = {}
+_OMEGA_CACHED_MODES = 64
+
+
 def symplectic_form(modes):
-    """Return the symplectic form Omega = [[0, I], [-I, 0]] for `modes` modes."""
+    """Return the symplectic form Omega = [[0, I], [-I, 0]] for `modes` modes.
+
+    The array is read-only, and shared between calls up to 64 modes; copy
+    it to modify it.
+    """
     if modes < 1:
         raise ValueError("modes must be >= 1")
-    eye = np.eye(modes)
-    zero = np.zeros((modes, modes))
-    return np.block([[zero, eye], [-eye, zero]])
+    omega = _OMEGA.get(modes)
+    if omega is None:
+        eye = np.eye(modes)
+        zero = np.zeros((modes, modes))
+        omega = np.block([[zero, eye], [-eye, zero]])
+        omega.flags.writeable = False
+        if modes <= _OMEGA_CACHED_MODES:
+            _OMEGA[modes] = omega
+    return omega
 
 
 def real_representation(C):

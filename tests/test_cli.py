@@ -329,6 +329,18 @@ class TestDensity:
         code, _ = run(capsys, "density", "--N", "1", "--K", "2", "--M", "1")
         assert code == EXIT_ENSEMBLE
 
+    @pytest.mark.parametrize("argv", [
+        ["density", "--N", "600", "--K", "10", "--M", "600"],
+        ["random", "--mode", "analytic", "--N", "600", "--K", "10", "--M",
+         "600", "--power", "5"],
+    ])
+    def test_underflowing_jacobi_norm_is_unphysical(self, capsys, argv):
+        # h_0 = exp(log h_0) underflows to 0.0 at a = b = 590
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == EXIT_UNPHYSICAL and captured.out == ""
+        assert "N=600 K=10 M=600" in captured.err
+
 
 class TestPlumbing:
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
@@ -356,6 +368,38 @@ class TestPlumbing:
                                    "samples": 10}))
         code = main(["sweep-modes", "--config", str(cfg)])
         assert code == EXIT_INPUT and "'samples'" in capsys.readouterr().err
+
+    def test_numeric_config_rule_sweeps_like_the_flag(self, capsys, tmp_path):
+        cfg = tmp_path / "rule.json"
+        cfg.write_text(json.dumps({"lambdas_rule": 0.9, "N_range": "1..2",
+                                   "power": 3}))
+        code, out = run(capsys, "sweep-modes", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (code, out) == run(capsys, "sweep-modes", "--lambdas-rule",
+                                  "0.9", "--N-range", "1..2", "--power", "3")
+
+    def test_numeric_config_rule_capacity_like_the_flag(self, capsys,
+                                                        tmp_path):
+        cfg = tmp_path / "rule.json"
+        cfg.write_text(json.dumps({"lambdas_rule": 0.9, "N": 2, "power": 3}))
+        code, out = run(capsys, "capacity", "--config", str(cfg))
+        assert code == EXIT_OK
+        assert (code, out) == run(capsys, "capacity", "--lambdas-rule", "0.9",
+                                  "--N", "2", "--power", "3")
+
+    @pytest.mark.parametrize("rule", [[0.5, 0.9], True, {"k": 1}])
+    def test_non_numeric_config_rule_is_input_error(self, capsys, tmp_path,
+                                                    rule):
+        cfg = tmp_path / "rule.json"
+        for command, key, extra in (
+                ("sweep-modes", "lambdas_rule", {"N_range": "1..2"}),
+                ("capacity", "lambdas_rule", {"N": 2}),
+                ("random", "K", {"N": 2})):
+            cfg.write_text(json.dumps(dict(extra, power=3, **{key: rule})))
+            code = main([command, "--config", str(cfg)])
+            captured = capsys.readouterr()
+            assert code == EXIT_INPUT and captured.out == ""
+            assert "unsupported token in rule" in captured.err
 
     def test_output_file(self, capsys, tmp_path):
         dest = tmp_path / "out.csv"
@@ -392,6 +436,12 @@ class TestEvalRule:
             eval_rule("k**N", k=2, N=3)
         with pytest.raises(ValueError):
             eval_rule("q+1", k=1, N=2)
+
+    def test_rejects_booleans(self):
+        # Python parses True and False as constants, and bool is an int
+        for expr in ("True", "k+False"):
+            with pytest.raises(ValueError, match="unsupported token"):
+                eval_rule(expr, k=1, N=2)
 
     def test_rejects_division_by_zero_and_non_finite_results(self):
         with pytest.raises(ValueError):
