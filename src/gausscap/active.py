@@ -23,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _channel_capacity, diagonal_capacity, mode_rates, noise_photons
+from .capacity import _channel_capacity, mode_rates, noise_photons
 from .channels import GaussianChannel, sigma_matrix
 from .ensembles import (
+    _base_seed,
     _phase_fixed_qr,
     passive_channel_sample,
     passive_transmissions,
@@ -102,13 +103,13 @@ def active_sample(spec, rng, allow_rect=False):
     construction as sigma2 -> 0 and is the minimal noise (1/2)|Sigma| + xi I
     at n = 0.
 
-    Receiver modes are signal modes, so K > N is refused unless `allow_rect`
-    is set, in which case the first K output modes of the enlarged transform
-    (signal and environment alike) are kept.
+    For sigma2 > 0, receiver modes are signal modes, so K > N is refused
+    unless `allow_rect` is set, in which case the first K output modes of the
+    enlarged transform (signal and environment alike) are kept.
     """
-    _check_receivers(spec, allow_rect)
     if spec.sigma2 == 0:
         return passive_channel_sample(spec, rng)
+    _check_receivers(spec, allow_rect)
     N, K = spec.N, spec.K
     sample = bogoliubov_sample(N + spec.M, spec.sigma2, rng)
     A, B = sample.A[:K, :N], sample.B[:K, :N]
@@ -118,34 +119,25 @@ def active_sample(spec, rng, allow_rect=False):
     return GaussianChannel(H_s, (Y + Y.T) / 2.0, spec.noise)
 
 
-def _passive_bits(spec, lams, P, method, waterfill):
+def _passive_bits(spec, lams, P, method):
     # Per-sample capacities of passive draws from their (samples, modes)
-    # transmissions.  Receiver modes beyond N have lambda = 0 and carry
-    # exactly 0 bits, so they are left out.
-    n, xi = spec.noise.n, spec.noise.xi
-    if not waterfill:
-        rates = mode_rates(lams, P / spec.N, noise_photons(lams, n, xi), method)
-        return rates.sum(axis=1)
-    return np.array([
-        diagonal_capacity([(lam, n, xi) for lam in row.tolist()], P, method,
-                          "waterfill", spec.N).bits
-        for row in lams])
+    # transmissions, under the uniform split P/N.  Receiver modes beyond N
+    # have lambda = 0 and carry exactly 0 bits, so they are left out.
+    Nk = noise_photons(lams, spec.noise.n, spec.noise.xi)
+    return mode_rates(lams, P / spec.N, Nk, method).sum(axis=1)
 
 
 def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
-                       waterfill=False, allow_rect=False, dump_path=None):
+                       allow_rect=False, dump_path=None):
     """Monte-Carlo capacity of the active ensemble: (mean, standard error).
 
-    At sigma2 = 0 the transmissions of all samples are drawn batched
-    (ensembles.passive_transmissions) and the power is split uniformly over
-    the N signal modes; no channel is built and `threads` is not used.  For
-    sigma2 > 0 each sample is built by active_sample and evaluated by
-    capacity._channel_capacity with the uniform split, on `threads` workers.
-    `waterfill` turns on per-sample water-filling, which applies only to
-    samples that reduce to the diagonal path (sigma2 = 0 draws);
-    general-path samples always use the uniform protocol.  `dump_path` writes
-    a per-sample CSV "sample_index,capacity_bits,max_singular_sq" for
-    convergence diagnostics.
+    Every sample splits the power uniformly, P/N per signal mode.  At
+    sigma2 = 0 the transmissions of all samples are drawn batched
+    (ensembles.passive_transmissions), building no channel and using no
+    `threads`; for sigma2 > 0 each sample is built by active_sample and
+    evaluated by capacity._channel_capacity on `threads` workers.
+    `dump_path` writes a per-sample CSV
+    "sample_index,capacity_bits,max_singular_sq" for convergence diagnostics.
     """
     if samples < 2:
         raise ValueError("need at least 2 samples for a standard error")
@@ -153,21 +145,20 @@ def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
         raise ValueError("method must be holevo, het or hom")
     if P < 0:
         raise ValueError("power must be nonnegative")
-    _check_receivers(spec, allow_rect)
-    base_seed = spec.seed if seed is None else seed
     if spec.sigma2 == 0:
-        lams = passive_transmissions(spec, samples, base_seed)
-        bits = _passive_bits(spec, lams, P, method, waterfill)
+        lams = passive_transmissions(spec, samples, seed)
+        bits = _passive_bits(spec, lams, P, method)
         max_sq = lams[:, 0]
     else:
-        alloc = None if waterfill else "uniform"
+        _check_receivers(spec, allow_rect)
+        base_seed = _base_seed(spec, seed)
         max_sq = None if dump_path is None else np.empty(samples)
 
         def eval_one(i):
             ch = active_sample(spec, philox_stream(base_seed, i), allow_rect)
             if max_sq is not None:
                 max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
-            return _channel_capacity(ch, P, method, alloc).bits
+            return _channel_capacity(ch, P, method, "uniform").bits
 
         bits = run_indexed(eval_one, samples, threads)
     if dump_path is not None:

@@ -305,13 +305,13 @@ def waterfill_het_hom(params, P, kind):
     return CapacityResult(bits, _METHOD_NAMES[kind], alloc, mu)
 
 
-def het_hom_general(ch, V_mod, kind, hom_quads=None):
+def het_hom_general(ch, V_mod, kind):
     """Multivariate-Gaussian mutual information for het/hom measurement.
 
     het: (1/2) log2 det[I + S (N + I/2)^{-1}] with S = H V_mod H^T and
     N = H H^T / 2 + Y (the extra I/2 is the heterodyne vacuum penalty).
-    hom: same with S, N restricted to one measured quadrature per output mode
-    (`hom_quads` indices; default the q quadratures 0..K-1) and no penalty.
+    hom: same with S, N restricted to the q quadrature of each output mode
+    (rows and columns 0..K-1) and no penalty.
     """
     if kind not in _METHOD_NAMES:
         raise ValueError("kind must be 'het' or 'hom'")
@@ -322,9 +322,8 @@ def het_hom_general(ch, V_mod, kind, hom_quads=None):
     if kind == "het":
         N = N + 0.5 * np.eye(N.shape[0])
     else:
-        quads = np.arange(ch.out_modes) if hom_quads is None else np.asarray(hom_quads)
-        S = S[np.ix_(quads, quads)]
-        N = N[np.ix_(quads, quads)]
+        K = ch.out_modes
+        S, N = S[:K, :K], N[:K, :K]
     if np.linalg.cond(N) > 1e14:
         raise SingularNoise("measurement noise covariance is singular")
     _, ld = np.linalg.slogdet(np.stack([N, N + S]))

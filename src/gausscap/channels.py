@@ -162,14 +162,13 @@ def block_form_channel(C, noise=NoiseParams()):
     noise : NoiseParams
 
     The noise matrix is Y = (n + 1/2)|I - H_s H_s^T| + xi I, which is the
-    minimal noise for n = 0 and a valid channel for every n, xi >= 0.
+    minimal noise for n = 0 and a valid channel for every n, xi >= 0: R(C)
+    commutes with Omega, so Sigma = Omega D with D = I - H_s H_s^T, and each
+    eigenvalue of Y - (i/2)Sigma is (n + 1/2)|d| -+ d/2 + xi >= 0, d in spec(D).
     """
     H_s = real_representation(C)
     Y = thermal_noise(H_s, noise)
-    ch = GaussianChannel(H_s, (Y + Y.T) / 2.0, noise)
-    if not validate_channel(ch, DEFAULT_TOL.validity):
-        raise InvalidChannel("constructed thermal channel failed validity")
-    return ch
+    return GaussianChannel(H_s, (Y + Y.T) / 2.0, noise)
 
 
 def _infer_uniform_thermal(env_state):

@@ -156,6 +156,16 @@ def _rule_values(expr, N):
     return [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
 
 
+def _power_and_modes(args, counts, flag):
+    """--power as a finite P >= 0, once the mode counts of `flag` are >= 1."""
+    if counts and min(counts) < 1:
+        raise ValueError("%s must give mode counts >= 1" % flag)
+    P = _finite(args.power, "--power")
+    if P < 0:
+        raise ValueError("--power must be >= 0, got %r" % P)
+    return P
+
+
 def _parse_range(text):
     """An int or an inclusive 'a..b' range, as a list of ints."""
     text = str(text).strip()
@@ -227,7 +237,9 @@ def _channel_params(args, parser):
 
 def cmd_capacity(args, parser):
     _require(parser, args, "power")
-    P = _finite(args.power, "--power")
+    by_rule = (args.channel is None and args.lambdas is None
+               and args.lambdas_rule is not None and args.N is not None)
+    P = _power_and_modes(args, [int(args.N)] if by_rule else [], "--N")
     if args.channel is not None:
         with open(args.channel) as fh:
             ch = channels.channel_from_json(fh.read())
@@ -271,7 +283,7 @@ def cmd_sweep_modes(args, parser):
     for alloc in allocs:
         if alloc not in ("uniform", "waterfill"):
             raise ValueError("unknown allocation %r" % alloc)
-    P = _finite(args.power, "--power")
+    P = _power_and_modes(args, n_values, "--N-range")
     noise_n = _finite(args.n, "--n")
     xi = _finite(args.xi, "--xi")
     # a --config number is a rule too; a JSON boolean, list or object
@@ -303,7 +315,7 @@ def cmd_random(args, parser):
     n_values = _parse_range(args.N)
     if args.dump_samples and (len(n_values) != 1 or args.mode != "mc"):
         parser.error("--dump-samples needs mc mode and a single configuration")
-    P = _finite(args.power, "--power")
+    P = _power_and_modes(args, n_values, "--N")
     noise = channels.NoiseParams(_finite(args.n, "--n"), _finite(args.xi, "--xi"))
     threads = args.threads if args.threads is None else int(args.threads)
     rows = []
@@ -406,8 +418,8 @@ def build_parser():
                              "batched in the calling thread")
     p_rand.add_argument("--allow-rect-active", dest="allow_rect_active",
                         action="store_true",
-                        help="allow K > N active sampling by truncating the "
-                             "enlarged transform")
+                        help="allow K > N in active (sigma2 > 0) MC by "
+                             "truncating the enlarged transform")
     p_rand.add_argument("--dump-samples", dest="dump_samples",
                         help="per-sample CSV (single configuration only)")
     common(p_rand)

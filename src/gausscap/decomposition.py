@@ -42,19 +42,18 @@ class ModeDecomposition:
         return real_representation(D_C)
 
 
-def block_svd(H_s, tol=DEFAULT_TOL.block_form):
+def block_svd(H_s):
     """Symplectic-compatible SVD of a block-form signal transform.
 
     Parameters
     ----------
     H_s : real 2K x 2N matrix of the block form [[A, -B], [B, A]].
-    tol : max-abs tolerance for the block-symmetry test.
 
     Raises
     ------
     NotBlockForm
-        If the block symmetry is violated beyond `tol`; the caller should
-        fall back to the general capacity path.
+        If the block symmetry is violated beyond DEFAULT_TOL.block_form
+        (max-abs); the caller should fall back to the general capacity path.
     """
     H = np.asarray(H_s, dtype=float)
     if H.ndim != 2 or H.shape[0] % 2 or H.shape[1] % 2:
@@ -62,10 +61,9 @@ def block_svd(H_s, tol=DEFAULT_TOL.block_form):
     K, N = H.shape[0] // 2, H.shape[1] // 2
     qq, qp = H[:K, :N], H[:K, N:]
     pq, pp = H[K:, :N], H[K:, N:]
-    if max(np.max(np.abs(qq - pp)), np.max(np.abs(qp + pq))) > tol:
-        raise NotBlockForm(
-            "transform mixes quadratures beyond tolerance %g" % tol
-        )
+    if max(np.max(np.abs(qq - pp)), np.max(np.abs(qp + pq))) > DEFAULT_TOL.block_form:
+        raise NotBlockForm("transform mixes quadratures beyond tolerance %g"
+                           % DEFAULT_TOL.block_form)
     C = (qq + pp) / 2.0 + 0.5j * (pq - qp)
     U_C, d, W_Ch = np.linalg.svd(C)
     return ModeDecomposition(
@@ -75,21 +73,20 @@ def block_svd(H_s, tol=DEFAULT_TOL.block_form):
     )
 
 
-def diagonal_channel_params(ch, tol=DEFAULT_TOL.block_form,
-                            thermal_tol=DEFAULT_TOL.thermal):
+def diagonal_channel_params(ch):
     """Per-singular-mode parameters (lambda_k, n, xi) of a thermal channel.
 
     Requires ch.H_s to be block-form and ch.Y to reconstruct from the thermal
-    form (n + 1/2)|I - H_s H_s^T| + xi I within `thermal_tol`; otherwise the
-    channel cannot be reduced to independent single-mode channels and the
-    caller must use the general formulas.
+    form (n + 1/2)|I - H_s H_s^T| + xi I within DEFAULT_TOL.thermal;
+    otherwise the channel cannot be reduced to independent single-mode
+    channels and the caller must use the general formulas.
 
     When K > N the receiver sees K - N extra modes with zero transmission;
     they are appended with lambda = 0.
     """
-    dec = block_svd(ch.H_s, tol)
+    dec = block_svd(ch.H_s)
     n, xi = ch.noise.n, ch.noise.xi
-    if np.max(np.abs(ch.Y - thermal_noise(ch.H_s, ch.noise))) > thermal_tol:
+    if np.max(np.abs(ch.Y - thermal_noise(ch.H_s, ch.noise))) > DEFAULT_TOL.thermal:
         raise NonThermalNoise(
             "noise matrix is not thermal for the recorded (n, xi)"
         )

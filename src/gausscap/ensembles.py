@@ -150,8 +150,6 @@ class JacobiDensity:
                                   self.inv_h)
         return np.power(lam, self.a) * np.power(1.0 - lam, self.b) * series / self.terms
 
-    __call__ = pdf
-
 
 def spectral_density(spec):
     """Analytic density of the transmission eigenvalues of a passive ensemble.
@@ -188,7 +186,7 @@ def _gauss_legendre_01(order):
     return 0.5 * (t + 1.0), 0.5 * w
 
 
-def expected_capacity_passive(spec, P, method, allocation="uniform"):
+def expected_capacity_passive(spec, P, method):
     """Ensemble-expected capacity of random passive channels, analytically.
 
     C = min(K, N) * integral_0^1 C_1(lambda; P/N, n, xi) p(lambda) d lambda,
@@ -196,8 +194,6 @@ def expected_capacity_passive(spec, P, method, allocation="uniform"):
     P/N.  The integral is evaluated by Gauss-Legendre quadrature with order
     escalation until two successive orders agree to 1e-8 relative.
     """
-    if allocation != "uniform":
-        raise ValueError("only uniform allocation is supported")
     if P < 0:
         raise ValueError("power must be nonnegative")
     density = spectral_density(spec)
@@ -214,6 +210,14 @@ def expected_capacity_passive(spec, P, method, allocation="uniform"):
             break
         prev = value
     return value
+
+
+def _base_seed(spec, seed):
+    """`seed`, else spec.seed, checked to be a Philox key word: an int in [0, 2**64)."""
+    base = spec.seed if seed is None else seed
+    if not 0 <= base < 2 ** 64 or int(base) != base:
+        raise ValueError("seed must be an integer in [0, 2**64), got %r" % (base,))
+    return base
 
 
 def philox_stream(seed, index):
@@ -255,19 +259,18 @@ def run_indexed(eval_one, samples, threads=None):
     return out
 
 
-def mc_expected_capacity_passive(spec, P, method, samples, seed=None, threads=None):
+def mc_expected_capacity_passive(spec, P, method, samples, seed=None):
     """Monte-Carlo estimate of the expected passive-channel capacity.
 
     Draws the transmissions of each sample (passive_transmissions), applies
     the uniform allocation P/N on the min(K, N) signal-carrying modes, and
     returns (mean, standard error) in bits.  The seed defaults to spec.seed.
     This is the active-ensemble estimator at sigma2 = 0, which runs batched
-    in the calling thread whatever `threads` says.
+    in the calling thread.
     """
     from .active import mc_capacity_active
 
-    return mc_capacity_active(replace(spec, sigma2=0.0), P, method, samples,
-                              seed, threads, allow_rect=True)
+    return mc_capacity_active(replace(spec, sigma2=0.0), P, method, samples, seed)
 
 
 @lru_cache(maxsize=None)
@@ -355,7 +358,7 @@ def passive_transmissions(spec, samples, seed=None):
     the transmissions of passive_channel_sample(spec, philox_stream(seed, i))
     without building the channel.  The seed defaults to spec.seed.
     """
-    base_seed = spec.seed if seed is None else seed
+    base_seed = _base_seed(spec, seed)
     out = np.empty((samples, min(spec.K, spec.N)))
     with _one_blas_thread():
         for start, corners in _haar_corner_chunks(spec, samples, base_seed):
@@ -364,16 +367,16 @@ def passive_transmissions(spec, samples, seed=None):
     return out
 
 
-def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):
+def sample_lambda_spectrum(spec, samples, seed=None):
     """Empirical transmission eigenvalues from the real representation.
 
     For each sample, the spectrum of H_s H_s^T is doubly degenerate (each
     eigenvalue of A_1 A_1^dag appears twice).  Consecutive sorted eigenvalues
-    are paired and averaged; a pair gap above `pair_tol` raises, as that
-    would falsify the doubling.  Returns a flat array of
-    samples * min(K, N) eigenvalues.
+    are paired and averaged; a pair gap above 1e-8 raises, as that would
+    falsify the doubling.  Returns a flat array of samples * min(K, N)
+    eigenvalues.  The seed defaults to spec.seed.
     """
-    base_seed = spec.seed if seed is None else seed
+    base_seed = _base_seed(spec, seed)
     m = min(spec.K, spec.N)
     out = np.empty((samples, m))
     with _one_blas_thread():
@@ -381,7 +384,7 @@ def sample_lambda_spectrum(spec, samples, seed=None, pair_tol=1e-8):
             H = real_representation(corners)
             w = np.linalg.eigvalsh(H @ np.swapaxes(H, -1, -2))[:, ::-1]
             gaps = np.abs(w[:, 0::2] - w[:, 1::2])
-            if gaps.max() > pair_tol:
+            if gaps.max() > 1e-8:
                 raise AssertionError(
                     "real-representation spectrum not doubly degenerate: gap %g"
                     % gaps.max()

@@ -30,14 +30,12 @@ class Tolerances:
     """Numeric tolerances for structural and physicality checks.
 
     structural : symmetry / symplecticity / orthogonality checks
-    spectral   : positivity of eigenvalue spectra
     validity   : quantum-channel validity (min eigenvalue of Y - (i/2)Sigma)
     block_form : block-structure detection of signal transforms
     thermal    : reconstruction test of thermal-form noise matrices
     """
 
     structural: float = 1e-10
-    spectral: float = 1e-10
     validity: float = 1e-9
     block_form: float = 1e-9
     thermal: float = 1e-8

@@ -7,6 +7,7 @@ and then asserts, so the suite doubles as a human-readable report:
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
@@ -105,7 +106,7 @@ def test_04_spectral_density_law():
     worst_l1, worst_norm = 0.0, 0.0
     for N, K, M in [(1, 1, 1), (2, 2, 2), (2, 1, 2)]:
         spec = EnsembleSpec(N=N, K=K, M=M)
-        density = ensembles.spectral_density(spec)
+        density = ensembles.spectral_density(spec).pdf
         norm = sum(_gauss_legendre_avg(density, lo, hi, points=64) * (hi - lo)
                    for lo, hi in zip(edges[:-1], edges[1:]))
         worst_norm = max(worst_norm, abs(norm - 1.0))
@@ -270,9 +271,15 @@ def test_10_cli_determinism():
             "2", "--M", "2", "--sigma2", "0.05", "--mode", "mc", "--samples",
             "300", "--seed", "7", "--power", "10", "--method", "het"]
 
+    # the child imports the same gausscap as this process, with or without
+    # PYTHONPATH set by the caller
+    src = os.path.dirname(os.path.dirname(active.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
     def run(threads):
         out = subprocess.run(base + ["--threads", str(threads)],
-                             capture_output=True, check=True)
+                             capture_output=True, check=True, env=env)
         return out.stdout
 
     first, second, eight = run(1), run(1), run(8)

@@ -84,6 +84,19 @@ def test_active_gain_can_exceed_unity():
     assert max(tops) > 1.0
 
 
+def test_passive_draws_need_no_rectangular_opt_in():
+    # at sigma2 = 0 a sample is a Haar corner block, valid for any K <= N + M
+    s = spec_for(2, 3, 3, sigma2=0.0, seed=2)
+    for i in range(5):
+        a = active_sample(s, philox_stream(2, i))
+        p = passive_channel_sample(s, philox_stream(2, i))
+        assert np.array_equal(a.H_s, p.H_s) and np.array_equal(a.Y, p.Y)
+    assert (mc_capacity_active(s, 5.0, "holevo", 100)
+            == mc_capacity_active(s, 5.0, "holevo", 100, allow_rect=True))
+    with pytest.raises(InsufficientEnvironment):
+        mc_capacity_active(spec_for(2, 3, 3, sigma2=0.05), 5.0, "holevo", 4)
+
+
 def test_rectangular_extraction_is_opt_in():
     s = spec_for(1, 2, 2, sigma2=0.05)
     with pytest.raises(InsufficientEnvironment):
@@ -139,18 +152,14 @@ class TestMonteCarloActive:
         with pytest.raises(ValueError):
             mc_capacity_active(spec_for(1, 1, 1, 0.0), 1.0, "shannon", 10)
 
-    def test_waterfill_flag_leaves_general_samples_uniform(self):
-        s = spec_for(2, 2, 2, sigma2=0.05, seed=14)
-        plain = mc_capacity_active(s, 6.0, "het", 40)
-        assert mc_capacity_active(s, 6.0, "het", 40, waterfill=True) == plain
-
-    def test_waterfill_flag_improves_diagonal_samples(self):
-        # sigma2 = 0 samples take the diagonal path, where water-filling
-        # can only help
-        s = spec_for(3, 3, 3, sigma2=0.0, seed=14)
-        plain = mc_capacity_active(s, 6.0, "holevo", 200)
-        filled = mc_capacity_active(s, 6.0, "holevo", 200, waterfill=True)
-        assert filled[0] >= plain[0] - 1e-12
+    @pytest.mark.parametrize("sigma2", [0.0, 0.05])
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    def test_rejects_seed_outside_philox_key_range(self, sigma2, seed):
+        with pytest.raises(ValueError):
+            mc_capacity_active(spec_for(2, 2, 2, sigma2), 1.0, "het", 4, seed)
+        with pytest.raises(ValueError):
+            mc_capacity_active(spec_for(2, 2, 2, sigma2, seed=seed), 1.0,
+                               "het", 4)
 
 
 def _printed_close(text, value, tol):
@@ -164,8 +173,7 @@ def _printed_close(text, value, tol):
 def test_batched_passive_matches_per_sample_channels(N, K, M, tmp_path):
     # The reference is the per-sample path: build each channel, decompose
     # it, evaluate diagonal_capacity.  2,000 samples per configuration make
-    # 10^4 over the five; water-filling is checked on every third sample per
-    # method, as the bisection dominates the run time.
+    # 10^4 over the five.
     samples, seed, P, tol = 2000, 23, 6.0, 1e-12
     spec = EnsembleSpec(N=N, K=K, M=M, noise=NoiseParams(0.3, 0.1), seed=seed)
     channels = [passive_channel_sample(spec, philox_stream(seed, i))
@@ -174,15 +182,10 @@ def test_batched_passive_matches_per_sample_channels(N, K, M, tmp_path):
     lams = passive_transmissions(spec, samples)
     ref_lams = np.array([[p[0] for p in row[:min(K, N)]] for row in params])
     assert np.max(np.abs(lams - ref_lams)) <= tol
-    for j, method in enumerate(("holevo", "het", "hom")):
+    for method in ("holevo", "het", "hom"):
         ref = [diagonal_capacity(p, P, method, "uniform", N).bits for p in params]
-        bits = _passive_bits(spec, lams, P, method, waterfill=False)
+        bits = _passive_bits(spec, lams, P, method)
         assert np.max(np.abs(bits - ref)) <= tol
-        rows = np.arange(j, samples, 3)
-        ref_wf = [diagonal_capacity(params[i], P, method, "waterfill", N).bits
-                  for i in rows]
-        bits_wf = _passive_bits(spec, lams[rows], P, method, waterfill=True)
-        assert np.max(np.abs(bits_wf - ref_wf)) <= tol
 
         path = tmp_path / ("%s.csv" % method)
         got = mc_capacity_active(spec, P, method, samples, allow_rect=True,

@@ -52,6 +52,27 @@ def test_json_rejects_non_finite_matrix_entries(key, value):
         channel_from_json(json.dumps(obj))
 
 
+def test_thermal_construction_is_always_valid():
+    # block_form_channel does not check its own output, so check it here:
+    # random K x N couplings with singular values in [0, 3] (losses and
+    # amplifiers), n in [0, 1] and xi in [0, 0.5], at the default tolerance.
+    # The first draw per shape has n = xi = 0, where the bound is tight.
+    rng = np.random.default_rng(20261019)
+    for K in range(1, 5):
+        for N in range(1, 5):
+            for trial in range(25):
+                z = rng.standard_normal((K, K)) + 1j * rng.standard_normal((K, K))
+                w = rng.standard_normal((N, N)) + 1j * rng.standard_normal((N, N))
+                u, v = np.linalg.qr(z)[0], np.linalg.qr(w)[0]
+                d = np.zeros((K, N))
+                m = min(K, N)
+                d[:m, :m] = np.diag(rng.uniform(0.0, 3.0, m))
+                noise = NoiseParams(rng.uniform(0.0, 1.0), rng.uniform(0.0, 0.5))
+                if trial == 0:
+                    noise = NoiseParams()
+                assert validate_channel(block_form_channel(u @ d @ v, noise))
+
+
 def test_quad_indices():
     assert list(quad_indices(np.arange(2), 3)) == [0, 1, 3, 4]
     assert list(quad_indices([1], 4)) == [1, 5]

@@ -41,6 +41,13 @@ def run(capsys, *argv):
     return code, out
 
 
+def run_err(capsys, *argv):
+    """(exit code, stdout, stderr) of an in-process run."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def write_channel(path, ch):
     path.write_text(channel_to_json(ch))
     return str(path)
@@ -177,6 +184,18 @@ class TestCapacity:
                         "5")
         assert code == EXIT_UNPHYSICAL and out == ""
 
+    @pytest.mark.parametrize("alloc", [[], ["--alloc", "uniform"]],
+                             ids=["waterfill", "uniform"])
+    def test_negative_power_is_input_error(self, capsys, alloc):
+        code, out, err = run_err(capsys, "capacity", "--lambdas", "0.5",
+                                 "--power", "-1", *alloc)
+        assert code == EXIT_INPUT and out == "" and "--power" in err
+
+    def test_zero_rule_modes_name_the_flag(self, capsys):
+        code, out, err = run_err(capsys, "capacity", "--lambdas-rule", "k",
+                                 "--N", "0", "--power", "1")
+        assert code == EXIT_INPUT and out == "" and "--N " in err
+
     def test_missing_channel_file(self, capsys, tmp_path):
         code, _ = run(capsys, "capacity", "--channel",
                       str(tmp_path / "nope.json"), "--power", "1")
@@ -229,6 +248,16 @@ class TestSweepModes:
                       "1", "--methods", "holevo,telepathy")
         assert code == EXIT_INPUT
 
+    def test_negative_power_is_input_error(self, capsys):
+        code, out, err = run_err(capsys, "sweep-modes", "--N-range", "1..2",
+                                 "--power", "-1")
+        assert code == EXIT_INPUT and out == "" and "--power" in err
+
+    def test_zero_modes_name_the_flag(self, capsys):
+        code, out, err = run_err(capsys, "sweep-modes", "--N-range", "0..2",
+                                 "--power", "1")
+        assert code == EXIT_INPUT and out == "" and "--N-range" in err
+
 
 class TestRandom:
     def test_analytic_golden_row(self, capsys):
@@ -265,6 +294,42 @@ class TestRandom:
         _, first = run(capsys, *args)
         _, second = run(capsys, *args)
         assert first == second
+
+    @pytest.mark.parametrize("mode", [["--mode", "analytic"],
+                                      ["--mode", "mc", "--seed", "1"]],
+                             ids=["analytic", "mc"])
+    def test_negative_power_is_input_error(self, capsys, mode):
+        code, out, err = run_err(capsys, "random", "--N", "2", "--power",
+                                 "-1", *mode)
+        assert code == EXIT_INPUT and out == "" and "--power" in err
+
+    @pytest.mark.parametrize("sigma2", ["0", "0.05"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_outside_philox_key_range_is_input_error(self, capsys, seed,
+                                                          sigma2):
+        code, out, err = run_err(capsys, "random", "--N", "2", "--power", "1",
+                                 "--mode", "mc", "--seed", seed, "--samples",
+                                 "4", "--sigma2", sigma2)
+        assert code == EXIT_INPUT and out == "" and "seed" in err
+
+    def test_analytic_mode_ignores_the_seed(self, capsys):
+        code, out = run(capsys, "random", "--N", "1", "--mode", "analytic",
+                        "--power", "15", "--method", "het", "--seed", "-1")
+        assert code == EXIT_OK
+        assert out.split("\n")[1] == "1,1,1,0,het,analytic,2.82397162578,"
+
+    def test_passive_mc_takes_more_receivers_than_signals(self, capsys):
+        # the rectangular opt-in concerns squeezed draws only
+        args = ("random", "--N", "2", "--K", "3", "--M", "3", "--mode", "mc",
+                "--samples", "100", "--seed", "1", "--power", "5")
+        code, plain = run(capsys, *args)
+        assert code == EXIT_OK
+        code, flagged = run(capsys, *args, "--allow-rect-active")
+        assert code == EXIT_OK and plain == flagged
+        assert plain.split("\n")[1] == (
+            "2,3,3,0,holevo,mc,4.49017858324,0.060521376937")
+        code, _ = run(capsys, *args, "--sigma2", "0.05")
+        assert code == EXIT_ENSEMBLE
 
     def test_rule_expressions(self, capsys):
         code, out = run(capsys, "random", "--N", "2..3", "--K", "1", "--M",

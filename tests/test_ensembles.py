@@ -171,15 +171,26 @@ class TestMonteCarlo:
         b = mc_expected_capacity_passive(s, 10.0, "holevo", 500)
         assert a == b
 
-    def test_thread_count_does_not_change_result(self):
-        s = spec_for(2, 2, 2, seed=9)
-        one = mc_expected_capacity_passive(s, 12.0, "het", 400, threads=1)
-        four = mc_expected_capacity_passive(s, 12.0, "het", 400, threads=4)
-        assert one == four
-
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             mc_expected_capacity_passive(spec_for(1, 1, 1), 1.0, "het", 1)
+
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64, 1.5, float("nan")])
+    def test_seed_outside_philox_key_range(self, seed):
+        # the seed keys Philox as an unsigned 64-bit word
+        s = spec_for(2, 2, 2)
+        with pytest.raises(ValueError):
+            mc_expected_capacity_passive(s, 1.0, "het", 4, seed)
+        with pytest.raises(ValueError):
+            passive_transmissions(s, 4, seed)
+        with pytest.raises(ValueError):
+            sample_lambda_spectrum(s, 4, seed)
+        with pytest.raises(ValueError):
+            passive_transmissions(spec_for(2, 2, 2, seed=seed), 4)
+
+    def test_largest_seed_is_accepted(self):
+        lams = passive_transmissions(spec_for(2, 2, 2), 4, 2 ** 64 - 1)
+        assert lams.shape == (4, 2)
 
     def test_chunking_does_not_change_results(self, monkeypatch):
         s = spec_for(2, 2, 2, seed=19, n=0.3, xi=0.1)
