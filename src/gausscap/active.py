@@ -28,9 +28,9 @@ from .channels import GaussianChannel, sigma_matrix
 from .ensembles import (
     _base_seed,
     _phase_fixed_qr,
+    _rekeyed_stream,
     passive_channel_sample,
     passive_transmissions,
-    philox_stream,
     run_indexed,
 )
 from .errors import InsufficientEnvironment
@@ -155,7 +155,7 @@ def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
         max_sq = None if dump_path is None else np.empty(samples)
 
         def eval_one(i):
-            ch = active_sample(spec, philox_stream(base_seed, i), allow_rect)
+            ch = active_sample(spec, _rekeyed_stream(base_seed, i), allow_rect)
             if max_sq is not None:
                 max_sq[i] = np.linalg.norm(ch.H_s, 2) ** 2
             return _channel_capacity(ch, P, method, "uniform").bits

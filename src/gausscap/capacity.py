@@ -18,13 +18,12 @@ from typing import Optional
 import numpy as np
 
 from ._kernels import entropy_g_arr
-from .decomposition import diagonal_channel_params
+from .decomposition import _mixes_quadratures, diagonal_channel_params
 from .errors import (
     InvalidChannel,
     NegativeEntropyArgument,
     NoFeasibleWaterlevel,
     NonThermalNoise,
-    NotBlockForm,
     SingularNoise,
     UnphysicalOutput,
     ZeroNoiseClassical,
@@ -305,6 +304,18 @@ def waterfill_het_hom(params, P, kind):
     return CapacityResult(bits, _METHOD_NAMES[kind], alloc, mu)
 
 
+def _check_nonsingular(noise):
+    """Raise SingularNoise unless cond(noise) = s_max / s_min <= 1e14.
+
+    One values-only SVD, as np.linalg.cond takes; a 0/0 or x/0 ratio is
+    NaN or inf and counts as singular.
+    """
+    s = np.linalg.svd(noise, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if not s[0] / s[-1] <= 1e14:
+            raise SingularNoise("measurement noise covariance is singular")
+
+
 def het_hom_general(ch, V_mod, kind):
     """Multivariate-Gaussian mutual information for het/hom measurement.
 
@@ -324,8 +335,7 @@ def het_hom_general(ch, V_mod, kind):
     else:
         K = ch.out_modes
         S, N = S[:K, :K], N[:K, :K]
-    if np.linalg.cond(N) > 1e14:
-        raise SingularNoise("measurement noise covariance is singular")
+    _check_nonsingular(N)
     _, ld = np.linalg.slogdet(np.stack([N, N + S]))
     return 0.5 * (ld[1] - ld[0]) / _LN2
 
@@ -349,8 +359,7 @@ def hom_general_aligned(ch, P):
     m = min(ch.out_modes, ch.in_modes)
     sel = u[:, 0:2 * m:2]
     noise = sel.T @ (0.5 * H @ H.T + Y) @ sel
-    if np.linalg.cond(noise) > 1e14:
-        raise SingularNoise("measurement noise covariance is singular")
+    _check_nonsingular(noise)
     sig = np.diag((2.0 * P / ch.in_modes) * s[0:2 * m:2] ** 2)
     _, ld = np.linalg.slogdet(np.stack([noise, noise + sig]))
     return 0.5 * (ld[1] - ld[0]) / _LN2
@@ -432,10 +441,12 @@ def _channel_capacity(ch, P, method, alloc):
     water-filling where the channel allows it and the uniform split
     otherwise.
     """
-    try:
-        params = diagonal_channel_params(ch)
-    except (NotBlockForm, NonThermalNoise):
-        params = None
+    params = None
+    if not _mixes_quadratures(ch.H_s):
+        try:
+            params = diagonal_channel_params(ch)
+        except NonThermalNoise:
+            pass
     if params is not None:
         return diagonal_capacity(params, P, method, alloc or "waterfill",
                                  ch.in_modes)

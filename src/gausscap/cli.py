@@ -156,6 +156,23 @@ def _rule_values(expr, N):
     return [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
 
 
+def _integer(value, flag):
+    """An integer option, from a flag's text or a --config number.
+
+    A fraction (1.5 or "1.5") or a non-number is an input error rather than
+    being truncated.
+    """
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
+          and math.isfinite(value) and value == int(value)):
+        return int(value)
+    raise ValueError("%s must be an integer, got %r" % (flag, value))
+
+
 def _power_and_modes(args, counts, flag):
     """--power as a finite P >= 0, once the mode counts of `flag` are >= 1."""
     if counts and min(counts) < 1:
@@ -318,18 +335,24 @@ def cmd_random(args, parser):
     P = _power_and_modes(args, n_values, "--N")
     noise = channels.NoiseParams(_finite(args.n, "--n"), _finite(args.xi, "--xi"))
     threads = args.threads if args.threads is None else int(args.threads)
+    seed = 0 if args.seed is None else _integer(args.seed, "--seed")
     rows = []
     for N in n_values:
         K = int(eval_rule(str(args.K), N=N)) if args.K is not None else N
         M = int(eval_rule(str(args.M), N=N)) if args.M is not None else N
         spec = ensembles.EnsembleSpec(N=N, K=K, M=M, noise=noise,
-                                      sigma2=sigma2, seed=int(args.seed or 0))
+                                      sigma2=sigma2, seed=seed)
         if args.mode == "analytic":
             bits = ensembles.expected_capacity_passive(spec, P, args.method)
             rows.append((spec, _finite_result(bits), None))
         else:
+            if sigma2 > 0 and K > N and not args.allow_rect_active:
+                raise InsufficientEnvironment(
+                    "active sampling requires K <= N (receiver modes are "
+                    "signal modes); pass --allow-rect-active to truncate the "
+                    "enlarged transform")
             mean, se = active.mc_capacity_active(
-                spec, P, args.method, int(args.samples),
+                spec, P, args.method, _integer(args.samples, "--samples"),
                 threads=threads, allow_rect=args.allow_rect_active,
                 dump_path=args.dump_samples)
             rows.append((spec, _finite_result(mean), _finite_result(se)))

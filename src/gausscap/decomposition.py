@@ -42,6 +42,18 @@ class ModeDecomposition:
         return real_representation(D_C)
 
 
+def _mixes_quadratures(H):
+    """True if the real 2K x 2N matrix H is not [[A, -B], [B, A]].
+
+    The test is max-abs against DEFAULT_TOL.block_form, the block-form
+    test of block_svd, which raises NotBlockForm exactly when this holds.
+    """
+    K, N = H.shape[0] // 2, H.shape[1] // 2
+    qq, qp = H[:K, :N], H[:K, N:]
+    pq, pp = H[K:, :N], H[K:, N:]
+    return max(np.max(np.abs(qq - pp)), np.max(np.abs(qp + pq))) > DEFAULT_TOL.block_form
+
+
 def block_svd(H_s):
     """Symplectic-compatible SVD of a block-form signal transform.
 
@@ -58,12 +70,12 @@ def block_svd(H_s):
     H = np.asarray(H_s, dtype=float)
     if H.ndim != 2 or H.shape[0] % 2 or H.shape[1] % 2:
         raise NotBlockForm("signal transform must be 2K x 2N")
+    if _mixes_quadratures(H):
+        raise NotBlockForm("transform mixes quadratures beyond tolerance %g"
+                           % DEFAULT_TOL.block_form)
     K, N = H.shape[0] // 2, H.shape[1] // 2
     qq, qp = H[:K, :N], H[:K, N:]
     pq, pp = H[K:, :N], H[K:, N:]
-    if max(np.max(np.abs(qq - pp)), np.max(np.abs(qp + pq))) > DEFAULT_TOL.block_form:
-        raise NotBlockForm("transform mixes quadratures beyond tolerance %g"
-                           % DEFAULT_TOL.block_form)
     C = (qq + pp) / 2.0 + 0.5j * (pq - qp)
     U_C, d, W_Ch = np.linalg.svd(C)
     return ModeDecomposition(

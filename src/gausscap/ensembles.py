@@ -51,6 +51,9 @@ _CHUNK_BYTES = 4 << 20
 _BLAS_LOCK = threading.Lock()
 _blas_state = {"users": 0, "threads": None}
 
+# Per-thread (Generator, state template) of _rekeyed_stream.
+_streams = threading.local()
+
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -231,6 +234,31 @@ def philox_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _rekeyed_stream(seed, index):
+    """philox_stream(seed, index), made by re-keying this thread's Generator.
+
+    Each thread keeps one Generator(Philox).  Setting its state to key
+    [seed, index], counter 0 and an empty buffer starts exactly the stream of
+    a new Philox(key=[seed, index]) at a fraction of the cost of building
+    one.  The Generator is reused by the thread's next call, so draw from it
+    before asking for another stream.
+    """
+    cached = getattr(_streams, "cached", None)
+    if cached is None:
+        gen = np.random.Generator(np.random.Philox(0))
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": np.zeros(4, dtype=np.uint64),
+                           "key": np.zeros(2, dtype=np.uint64)},
+                 "buffer": np.zeros(4, dtype=np.uint64),
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        cached = _streams.cached = (gen, state)
+    gen, state = cached
+    key = state["state"]["key"]
+    key[0], key[1] = seed, index
+    gen.bit_generator.state = state
+    return gen
+
+
 def resolve_threads(threads=None):
     """Worker count: explicit argument, else GAUSSCAP_THREADS, else 1."""
     if threads is None:
@@ -242,20 +270,30 @@ def run_indexed(eval_one, samples, threads=None):
     """Evaluate eval_one(i) for i in range(samples) into an array, in order.
 
     The output array is indexed by sample, so reductions over it (mean, std)
-    are bit-identical no matter how many threads computed the entries.
+    are bit-identical no matter how many threads computed the entries.  With
+    T = min(threads, samples) > 1, worker w evaluates the contiguous block
+    samples*w//T <= i < samples*(w+1)//T: one task per worker, and never more
+    workers than samples.
     """
-    threads = resolve_threads(threads)
+    threads = min(resolve_threads(threads), samples)
     out = np.empty(samples)
-    if threads == 1:
-        for i in range(samples):
-            out[i] = eval_one(i)
-    else:
-        # imported here: only threaded runs need it, and it pulls in logging
-        from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, value in enumerate(pool.map(eval_one, range(samples))):
-                out[i] = value
+    def run_block(lo, hi):
+        for i in range(lo, hi):
+            out[i] = eval_one(i)
+
+    if threads <= 1:
+        run_block(0, samples)
+        return out
+    # imported here: only threaded runs need it, and it pulls in logging
+    from concurrent.futures import ThreadPoolExecutor
+
+    bounds = [samples * w // threads for w in range(threads + 1)]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        tasks = [pool.submit(run_block, bounds[w], bounds[w + 1])
+                 for w in range(threads)]
+    for task in tasks:
+        task.result()
     return out
 
 

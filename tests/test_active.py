@@ -134,6 +134,22 @@ class TestMonteCarloActive:
         four = mc_capacity_active(s, 10.0, "hom", 300, threads=4)
         assert one == four
 
+    @pytest.mark.parametrize("N,K,M", [(2, 2, 2), (3, 2, 2), (4, 4, 4)])
+    @pytest.mark.parametrize("method", ["holevo", "het", "hom"])
+    def test_block_form_draws_take_the_diagonal_path(self, N, K, M, method):
+        # At sigma2 = 1e-24 every draw is block-form with thermal noise, so
+        # each sample must equal the diagonal capacity of its channel
+        samples, seed, P = 200, 17, 6.0
+        s = spec_for(N, K, M, sigma2=1e-24, seed=seed, n=0.3, xi=0.1)
+        ref = np.array([
+            diagonal_capacity(
+                diagonal_channel_params(active_sample(s, philox_stream(seed, i))),
+                P, method, "uniform", N).bits
+            for i in range(samples)])
+        got = mc_capacity_active(s, P, method, samples, threads=2)
+        assert got == (float(np.mean(ref)),
+                       float(np.std(ref, ddof=1) / math.sqrt(samples)))
+
     def test_sample_dump(self, tmp_path):
         path = tmp_path / "samples.csv"
         s = spec_for(1, 1, 1, sigma2=0.02, seed=4)

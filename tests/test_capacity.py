@@ -323,6 +323,38 @@ class TestGeneralForms:
         with pytest.raises(SingularNoise):
             cap.het_hom_general(dead, np.zeros((2, 2)), "hom")
 
+    @pytest.mark.parametrize("kind", ["het", "hom"])
+    @pytest.mark.parametrize("noise", [[0.0, 0.0, 0.0, 0.0],
+                                       [1.0, 1e-15, 1.0, 1.0]],
+                             ids=["zero", "cond-1e15"])
+    def test_singular_noise_by_condition_number(self, kind, noise):
+        # Y is chosen so that the measured noise, H H^T / 2 + Y plus I/2 for
+        # het, is diag(noise)
+        shift = 0.5 if kind == "het" else 0.0
+        ch = GaussianChannel(np.zeros((4, 4)), np.diag(noise) - shift * np.eye(4),
+                             NoiseParams())
+        with pytest.raises(SingularNoise):
+            cap.het_hom_general(ch, np.eye(4), kind)
+
+    def test_well_conditioned_noise_is_not_singular(self):
+        ch = GaussianChannel(np.zeros((4, 4)), np.diag([1.0, 1e-13, 1.0, 1.0]),
+                             NoiseParams())
+        assert cap.het_hom_general(ch, np.eye(4), "hom") == 0.0
+
+    def test_aligned_hom_singular_noise(self):
+        # zero noise: the measured 1 x 1 noise matrix is 0, a 0/0 ratio
+        dead = GaussianChannel(np.zeros((2, 2)), np.zeros((2, 2)),
+                               NoiseParams())
+        with pytest.raises(SingularNoise):
+            cap.hom_general_aligned(dead, 1.0)
+        # H = diag(2, 1, 2, 1) measures one direction of each mode; with
+        # H H^T / 2 + Y = diag(1, 1e-15, 1, 1e-15) the measured noise has
+        # condition number 1e15 whichever direction that is
+        H = np.diag([2.0, 1.0, 2.0, 1.0])
+        Y = np.diag([1.0, 1e-15, 1.0, 1e-15]) - 0.5 * H @ H.T
+        with pytest.raises(SingularNoise):
+            cap.hom_general_aligned(GaussianChannel(H, Y, NoiseParams()), 1.0)
+
     def test_aligned_hom_matches_per_mode_on_block_form(self):
         rng = np.random.default_rng(53)
         for _ in range(20):

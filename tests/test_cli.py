@@ -331,6 +331,29 @@ class TestRandom:
         code, _ = run(capsys, *args, "--sigma2", "0.05")
         assert code == EXIT_ENSEMBLE
 
+    def test_active_rectangular_refusal_names_the_flag(self, capsys):
+        code, out, err = run_err(capsys, "random", "--N", "2", "--K", "3",
+                                 "--M", "3", "--mode", "mc", "--samples", "10",
+                                 "--seed", "1", "--power", "5", "--sigma2",
+                                 "0.05")
+        assert code == EXIT_ENSEMBLE and out == ""
+        assert "--allow-rect-active" in err and "allow_rect " not in err
+
+    @pytest.mark.parametrize("field,value", [("seed", 1.5), ("samples", 20.9)])
+    def test_fractional_config_count_is_input_error(self, capsys, tmp_path,
+                                                    field, value):
+        # a fraction is refused, not truncated to the integer below it
+        cfg = tmp_path / "cfg.json"
+        values = {"seed": 1, "samples": 20}
+        cfg.write_text(json.dumps(values))
+        argv = ("random", "--N", "2", "--mode", "mc", "--power", "3",
+                "--config", str(cfg))
+        code, whole = run(capsys, *argv)
+        assert code == EXIT_OK and whole.count("\n") == 2
+        cfg.write_text(json.dumps(dict(values, **{field: value})))
+        code, out, err = run_err(capsys, *argv)
+        assert code == EXIT_INPUT and out == "" and "--" + field in err
+
     def test_rule_expressions(self, capsys):
         code, out = run(capsys, "random", "--N", "2..3", "--K", "1", "--M",
                         "2*N", "--mode", "analytic", "--power", "5")

@@ -1,6 +1,10 @@
 """Random passive ensembles: Haar sampling, Jacobi spectral densities,
 analytic expected capacities and the seeded Monte Carlo estimator."""
 
+import concurrent.futures
+import math
+import threading
+
 import numpy as np
 import pytest
 
@@ -247,6 +251,108 @@ def test_philox_streams_are_keyed_by_index():
     c = philox_stream(3, 0).standard_normal(4)
     assert not np.array_equal(a, b)
     assert np.array_equal(a, c)
+
+
+def _draws(gen):
+    # normals, then an odd count of 32-bit integers, which leaves half a
+    # 64-bit word buffered for the next draw to consume
+    return (gen.standard_normal(5),
+            gen.integers(0, 2 ** 32, size=3, dtype=np.uint32))
+
+
+def _same_draws(got, want):
+    return all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestRekeyedStream:
+    def test_equals_philox_stream(self):
+        rng = np.random.default_rng(2024)
+        top = 2 ** 64 - 1
+        seeds = [0, top] + [int(x) for x in rng.integers(0, top, 48,
+                                                         dtype=np.uint64)]
+        indices = [0, 1, top] + list(range(2, 199))
+        assert len(seeds) * len(indices) >= 10 ** 4
+        for seed in seeds:
+            for i in indices:
+                got = _draws(ensembles._rekeyed_stream(seed, i))
+                assert _same_draws(got, _draws(philox_stream(seed, i))), (seed, i)
+
+    def test_threads_keep_their_own_stream(self):
+        keys = [[(7, i) for i in range(300)], [(2 ** 64 - 1, i) for i in range(300)]]
+        turn = threading.Barrier(2)
+        got = [[], []]
+
+        def work(w):
+            for seed, i in keys[w]:
+                gen = ensembles._rekeyed_stream(seed, i)
+                # both threads re-key before either draws
+                turn.wait(timeout=30)
+                got[w].append(_draws(gen))
+
+        workers = [threading.Thread(target=work, args=(w,)) for w in range(2)]
+        for t in workers:
+            t.start()
+        for t in workers:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in workers)
+        for w in range(2):
+            assert len(got[w]) == len(keys[w])
+            for (seed, i), draws in zip(keys[w], got[w]):
+                assert _same_draws(draws, _draws(philox_stream(seed, i)))
+
+
+class _RecordingPool:
+    """ThreadPoolExecutor stand-in that runs each task at submit, in order."""
+
+    made = []
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+        self.tasks = 0
+        _RecordingPool.made.append(self)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        self.tasks += 1
+        done = concurrent.futures.Future()
+        done.set_result(fn(*args))
+        return done
+
+
+class TestRunIndexed:
+    def test_one_task_per_worker_and_no_more_workers_than_samples(
+            self, monkeypatch):
+        monkeypatch.setattr(_RecordingPool, "made", [])
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                            _RecordingPool)
+        live = threading.active_count()
+        out = ensembles.run_indexed(lambda i: 10.0 * i, 4, threads=10_000)
+        assert threading.active_count() == live
+        assert [(p.max_workers, p.tasks) for p in _RecordingPool.made] == [(4, 4)]
+        assert out.tolist() == [0.0, 10.0, 20.0, 30.0]
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_each_index_once_whatever_the_pool(self, threads):
+        lock = threading.Lock()
+        for samples in range(1, 10):
+            calls, workers = [], set()
+
+            def eval_one(i):
+                with lock:
+                    calls.append(i)
+                    workers.add(threading.get_ident())
+                return math.sin(i + 0.5) / (i + 1)
+
+            out = ensembles.run_indexed(eval_one, samples, threads)
+            ref = np.array([math.sin(i + 0.5) / (i + 1) for i in range(samples)])
+            assert np.array_equal(out, ref)
+            assert sorted(calls) == list(range(samples))
+            assert len(workers) <= min(threads, samples)
 
 
 def test_passive_sample_shapes_and_validity():
