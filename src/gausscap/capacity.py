@@ -48,12 +48,21 @@ __all__ = [
 ]
 
 _LN2 = math.log(2.0)
+_EPS = np.finfo(float).eps
 _METHOD_NAMES = {"het": "heterodyne", "hom": "homodyne"}
 
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Mean photon numbers per singular mode, summing to at most `total`."""
+    """Mean photon numbers per singular mode, summing to at most `total`.
+
+    The budget test is sum(per_mode) <= total + 1e-9 + 4 n eps |total|, with
+    n modes and eps the double-precision machine epsilon.  The relative term
+    covers the rounding of an n-way split of the budget and of its float
+    sum, which together stay below about 2 n eps/2 of the total whatever
+    the summation order; an allocation over budget by more than that is
+    refused.
+    """
 
     per_mode: np.ndarray
     total: float
@@ -65,7 +74,8 @@ class PowerAllocation:
         # written so that NaN fails each test; +inf fails the budget
         if p.size and not (p.min() >= 0):
             raise ValueError("allocations must be finite and nonnegative")
-        if not (p.sum() <= self.total + 1e-9):
+        slack = 1e-9 + 4.0 * p.size * _EPS * abs(self.total)
+        if not (p.sum() <= self.total + slack):
             raise ValueError("allocation exceeds the power budget")
         object.__setattr__(self, "per_mode", p)
 
@@ -90,25 +100,49 @@ def uniform_allocation(n_modes, P, n_signal_modes=None):
     return PowerAllocation(per_mode, P)
 
 
-def _split_params(params):
-    arr = np.asarray(params, dtype=float).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
-
-
 def noise_photons(lams, n, xi):
     """Output noise photon number N_k of a single-mode thermal channel."""
     lams = np.asarray(lams, dtype=float)
     return (lams - 1.0) / 2.0 + (np.asarray(n) + 0.5) * np.abs(1.0 - lams) + xi
 
 
+class _Modes:
+    """One diagonal configuration as arrays: transmissions and noise.
+
+    `ns` and `xis` are the thermal photons and additive noise, arrays like
+    `lams` or scalars shared by every mode.  The noise photons N_k are
+    computed and checked on first use and kept, so a caller that evaluates
+    several methods and allocations of one configuration pays for them once.
+    """
+
+    __slots__ = ("lams", "ns", "xis", "_noise")
+
+    def __init__(self, lams, ns, xis):
+        self.lams, self.ns, self.xis = lams, ns, xis
+        self._noise = None
+
+    def noise(self):
+        if self._noise is None:
+            Nk = noise_photons(self.lams, self.ns, self.xis)
+            if Nk.size and Nk.min() < -1e-12:
+                raise NegativeEntropyArgument(
+                    "noise photon number %g < 0; unphysical parameters"
+                    % Nk.min())
+            self._noise = Nk
+        return self._noise
+
+
+def _modes(params):
+    """`params` as _Modes: (lambda_k, n, xi) triples, or _Modes as is."""
+    if isinstance(params, _Modes):
+        return params
+    arr = np.asarray(params, dtype=float).reshape(-1, 3)
+    return _Modes(arr[:, 0], arr[:, 1], arr[:, 2])
+
+
 def _checked_noise(params):
-    lams, ns, xis = _split_params(params)
-    Nk = noise_photons(lams, ns, xis)
-    if Nk.size and Nk.min() < -1e-12:
-        raise NegativeEntropyArgument(
-            "noise photon number %g < 0; unphysical parameters" % Nk.min()
-        )
-    return lams, Nk
+    modes = _modes(params)
+    return modes.lams, modes.noise()
 
 
 def mode_rates(lams, P, Nk, method):
@@ -138,10 +172,9 @@ def mode_rates(lams, P, Nk, method):
 
 def _diagonal_bits(params, alloc, method):
     lams, Nk = _checked_noise(params)
-    P = np.asarray(alloc.per_mode, dtype=float)
-    if P.shape != lams.shape:
+    if alloc.per_mode.shape != lams.shape:
         raise ValueError("allocation length must match the number of modes")
-    return float(np.sum(mode_rates(lams, P, Nk, method)))
+    return float(np.add.reduce(mode_rates(lams, alloc.per_mode, Nk, method)))
 
 
 def holevo_diagonal(params, alloc):
@@ -208,9 +241,19 @@ def waterfill_holevo(params, P):
     # The water-filled output photon target of mode k is
     # x_k = 1/(mu^{1/lambda_k} - 1) at w = ln mu: expm1 keeps precision near
     # mu -> 1, and an overflow to inf maps x_k to 0, so one errstate covers
-    # the whole search.
+    # the whole search.  Each step computes the per-mode powers
+    # {x_k - N_k}+ / lambda_k into one buffer, which holds the allocation of
+    # the last w evaluated.
+    buf = np.empty(la.shape)
+
     def power_at(w):
-        return float((np.maximum(1.0 / np.expm1(w / la) - Na, 0.0) / la).sum())
+        np.divide(w, la, out=buf)
+        np.expm1(buf, out=buf)
+        np.divide(1.0, buf, out=buf)
+        np.subtract(buf, Na, out=buf)
+        np.maximum(buf, 0.0, out=buf)
+        np.divide(buf, la, out=buf)
+        return float(np.add.reduce(buf))
 
     with np.errstate(over="ignore"):
         w_lo, w_hi = 1e-12, 1.0
@@ -232,8 +275,9 @@ def waterfill_holevo(params, P):
                 w_hi = w_mid
         else:
             w_mid = 0.5 * (w_lo + w_hi)
-        per_mode = np.zeros(lams.shape)
-        per_mode[active] = np.maximum(1.0 / np.expm1(w_mid / la) - Na, 0.0) / la
+            power_at(w_mid)
+    per_mode = np.zeros(lams.shape)
+    per_mode[active] = buf
     # absorb the bisection residual so the allocation spends exactly P
     total = per_mode.sum()
     if not math.isfinite(total):
@@ -242,7 +286,7 @@ def waterfill_holevo(params, P):
     if total > 0.0:
         per_mode *= P / total
     alloc = PowerAllocation(per_mode, float(P))
-    bits = holevo_diagonal(params, alloc)
+    bits = float(np.add.reduce(mode_rates(lams, per_mode, Nk, "holevo")))
     return CapacityResult(bits, "holevo", alloc, float(math.exp(w_mid)))
 
 
@@ -260,19 +304,18 @@ def _waterfill_floors(floors, P):
     # Exact classical water-filling: allocate P_k = {mu - f_k}+ with the
     # water level mu fixed by the budget.  Sort the floors, then for the m
     # cheapest modes mu = (P + sum of their floors)/m; the correct m is the
-    # largest one whose water level stays below the next floor.
+    # smallest one whose water level does not clear the next floor, or all
+    # modes with a finite floor.
     floors = np.asarray(floors, dtype=float)
     order = np.argsort(floors)
     f = floors[order]
-    finite = int(np.sum(np.isfinite(f)))
+    finite = int(np.count_nonzero(np.isfinite(f)))
     if finite == 0:
         return np.zeros(floors.shape), None
-    csum = np.cumsum(f[:finite])
-    mu = f[0]
-    for m in range(1, finite + 1):
-        mu = (P + csum[m - 1]) / m
-        if m == finite or mu <= f[m]:
-            break
+    levels = (P + np.cumsum(f[:finite])) / np.arange(1, finite + 1)
+    stops = np.flatnonzero(levels[:-1] <= f[1:finite])
+    m = int(stops[0]) + 1 if stops.size else finite
+    mu = levels[m - 1]
     alloc = np.zeros(floors.shape)
     alloc[order[:m]] = np.maximum(mu - f[:m], 0.0)
     return alloc, float(mu)
@@ -300,7 +343,7 @@ def waterfill_het_hom(params, P, kind):
             floors = np.where(lams > 0, (Nk + 0.5) / (2.0 * lams), np.inf)
     per_mode, mu = _waterfill_floors(floors, float(P))
     alloc = PowerAllocation(per_mode, float(P))
-    bits = het_hom_per_mode(params, alloc, kind)
+    bits = float(np.add.reduce(mode_rates(lams, per_mode, Nk, kind)))
     return CapacityResult(bits, _METHOD_NAMES[kind], alloc, mu)
 
 
@@ -403,24 +446,25 @@ def diagonal_capacity(params, P, method, alloc, n_signal):
     "uniform", P/N photons on each of the first N = `n_signal` modes, or
     "waterfill", the optimal split, whose water level is returned.
     """
+    modes = _modes(params)
+    lams = modes.lams
     if method == "classical":
-        lams, _, xis = _split_params(params)
-        xi = xis[0]
+        xi = np.ravel(modes.xis)[0]
         if xi <= 0:
             raise ZeroNoiseClassical("classical capacity requires xi > 0")
         if alloc == "waterfill":
             return classical_capacity(lams, xi, P)
-        uniform = uniform_allocation(len(params), P, n_signal)
+        uniform = uniform_allocation(lams.size, P, n_signal)
         with np.errstate(divide="ignore"):
             rates = np.log2(1.0 + lams * uniform.per_mode / xi)
         return CapacityResult(float(np.sum(rates)), "classical", uniform)
     if alloc == "uniform":
-        uniform = uniform_allocation(len(params), P, n_signal)
-        bits = _diagonal_bits(params, uniform, method)
+        uniform = uniform_allocation(lams.size, P, n_signal)
+        bits = _diagonal_bits(modes, uniform, method)
         return CapacityResult(bits, _METHOD_NAMES.get(method, method), uniform)
     if method == "holevo":
-        return waterfill_holevo(params, P)
-    return waterfill_het_hom(params, P, method)
+        return waterfill_holevo(modes, P)
+    return waterfill_het_hom(modes, P, method)
 
 
 def _channel_capacity(ch, P, method, alloc):

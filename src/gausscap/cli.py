@@ -136,12 +136,12 @@ def eval_rule(expr, **names):
     return value
 
 
-def _rule_values(expr, N):
-    """[eval_rule(expr, k=k, N=N) for k in 1..N], evaluated as one array.
+def _rule_array(expr, N):
+    """[eval_rule(expr, k=k, N=N) for k in 1..N] as one float64 array.
 
-    A rule without k gives the same value for every mode.  On an error, the
-    scalar loop reruns, so the message names the first k that fails, exactly
-    as the loop would.
+    The rule is evaluated over all k at once; a rule without k gives the
+    same value for every mode.  On an error, the scalar loop reruns, so the
+    message names the first k that fails, exactly as the loop would.
     """
     modes = np.arange(1.0, N + 1)
     try:
@@ -150,10 +150,15 @@ def _rule_values(expr, N):
                                 expr)
         values = np.broadcast_to(values, modes.shape)
         if np.isfinite(values).all():
-            return values.tolist()
+            return values
     except ValueError:
         pass
-    return [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
+    return np.array([eval_rule(expr, k=k, N=N) for k in range(1, N + 1)])
+
+
+def _rule_values(expr, N):
+    """_rule_array(expr, N) as a list of floats."""
+    return _rule_array(expr, N).tolist()
 
 
 def _integer(value, flag):
@@ -308,13 +313,14 @@ def cmd_sweep_modes(args, parser):
     rule = str(args.lambdas_rule)
     lines = ["N,method,alloc,bits"]
     for N in n_values:
-        lams = _rule_values(rule, N)
-        if min(lams) < 0:
+        lams = _rule_array(rule, N)
+        if lams.min() < 0:
             raise ValueError("transmissions must be nonnegative")
-        params = [(lam, noise_n, xi) for lam in lams]
+        # one set of mode arrays per N, shared by all its rows
+        modes = capacity._Modes(lams, noise_n, xi)
         for method in methods:
             for alloc in allocs:
-                bits = capacity.diagonal_capacity(params, P, method, alloc,
+                bits = capacity.diagonal_capacity(modes, P, method, alloc,
                                                   N).bits
                 lines.append("%d,%s,%s,%s"
                              % (N, method, alloc, _fmt(_finite_result(bits))))
@@ -338,8 +344,10 @@ def cmd_random(args, parser):
     seed = 0 if args.seed is None else _integer(args.seed, "--seed")
     rows = []
     for N in n_values:
-        K = int(eval_rule(str(args.K), N=N)) if args.K is not None else N
-        M = int(eval_rule(str(args.M), N=N)) if args.M is not None else N
+        K = N if args.K is None else _integer(eval_rule(str(args.K), N=N),
+                                              "--K")
+        M = N if args.M is None else _integer(eval_rule(str(args.M), N=N),
+                                              "--M")
         spec = ensembles.EnsembleSpec(N=N, K=K, M=M, noise=noise,
                                       sigma2=sigma2, seed=seed)
         if args.mode == "analytic":

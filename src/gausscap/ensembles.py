@@ -184,9 +184,29 @@ def spectral_density(spec):
 
 
 @lru_cache(maxsize=None)
-def _gauss_legendre_01(order):
-    t, w = np.polynomial.legendre.leggauss(order)
+def _gauss_legendre_01(*orders):
+    """Gauss-Legendre nodes and weights on [0, 1], one order after another."""
+    rules = [np.polynomial.legendre.leggauss(order) for order in orders]
+    t = np.concatenate([rule[0] for rule in rules])
+    w = np.concatenate([rule[1] for rule in rules])
     return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _escalation(terms):
+    """(w, c1, pdf) at each order of the Gauss-Legendre escalation.
+
+    `terms(lam)` gives the integrand's two factors at the nodes.  Orders 32
+    and 64, where nearly every integral stops, are evaluated in one call over
+    their 96 stacked nodes and yielded as two slices; orders 128 to 2048
+    follow one call each.
+    """
+    lam, w = _gauss_legendre_01(32, 64)
+    c1, pdf = terms(lam)
+    yield w[:32], c1[:32], pdf[:32]
+    yield w[32:], c1[32:], pdf[32:]
+    for order in (128, 256, 512, 1024, 2048):
+        lam, w = _gauss_legendre_01(order)
+        yield (w,) + terms(lam)
 
 
 def expected_capacity_passive(spec, P, method):
@@ -203,12 +223,15 @@ def expected_capacity_passive(spec, P, method):
     m = min(spec.K, spec.N)
     P_mode = P / spec.N
     n, xi = spec.noise.n, spec.noise.xi
+
+    def terms(lam):
+        c1 = mode_rates(lam, P_mode, noise_photons(lam, n, xi), method)
+        return c1, density.pdf(lam)
+
     value = 0.0
     prev = None
-    for order in (32, 64, 128, 256, 512, 1024, 2048):
-        lam, w = _gauss_legendre_01(order)
-        c1 = mode_rates(lam, P_mode, noise_photons(lam, n, xi), method)
-        value = m * float(np.sum(w * c1 * density.pdf(lam)))
+    for w, c1, pdf in _escalation(terms):
+        value = m * float(np.sum(w * c1 * pdf))
         if prev is not None and abs(value - prev) <= 1e-8 * max(abs(value), 1e-12):
             break
         prev = value

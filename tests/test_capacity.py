@@ -58,6 +58,24 @@ def test_power_allocation_validation():
         PowerAllocation(np.array([2.0, 2.0]), 1.0)
 
 
+@pytest.mark.parametrize("P", [4e6, 1e9, 1e15])
+def test_uniform_split_of_a_large_budget_is_accepted(P):
+    # N copies of P/N sum to P plus a few ulps of P, which the budget test
+    # must forgive however large P is
+    for modes in range(1, 65):
+        a = cap.uniform_allocation(modes, P)
+        assert a.total == P
+
+
+@pytest.mark.parametrize("P", [1.0, 4e6, 1e15])
+def test_allocation_over_budget_beyond_rounding_is_refused(P):
+    # 64 modes: the slack is 1e-9 + 256 eps P, below 1e-13 P + 1e-9
+    per_mode = np.full(64, P / 64)
+    PowerAllocation(per_mode, P)
+    with pytest.raises(ValueError, match="exceeds the power budget"):
+        PowerAllocation(per_mode * (1.0 + 1e-12) + 2e-9 / 64, P)
+
+
 @pytest.mark.parametrize("per_mode, total", [
     ([0.5, np.nan], 1.0), ([np.inf, 0.0], 1.0), ([-np.inf, 0.5], 1.0),
     ([0.5, 0.5], np.nan), ([0.5, 0.5], np.inf), ([np.inf], np.inf),
@@ -248,6 +266,68 @@ def test_waterfill_holevo_refuses_an_overflowing_allocation():
     with np.errstate(all="ignore"):
         with pytest.raises(NoFeasibleWaterlevel):
             cap.waterfill_holevo([(1e308, 0.0, 0.0)], 5.0)
+
+
+def _reference_waterfill_floors(floors, P):
+    """Classical water-filling with a Python loop over the modes.
+
+    A verbatim copy of _waterfill_floors before its water level came from
+    one array of candidate levels.
+    """
+    floors = np.asarray(floors, dtype=float)
+    order = np.argsort(floors)
+    f = floors[order]
+    finite = int(np.sum(np.isfinite(f)))
+    if finite == 0:
+        return np.zeros(floors.shape), None
+    csum = np.cumsum(f[:finite])
+    mu = f[0]
+    for m in range(1, finite + 1):
+        mu = (P + csum[m - 1]) / m
+        if m == finite or mu <= f[m]:
+            break
+    alloc = np.zeros(floors.shape)
+    alloc[order[:m]] = np.maximum(mu - f[:m], 0.0)
+    return alloc, float(mu)
+
+
+def test_waterfill_floors_bit_identical_to_reference():
+    rng = np.random.default_rng(20261019)
+    seen = {"inf": 0, "all-inf": 0, "ties": 0, "zero": 0, "tiny": 0,
+            "large": 0}
+    for _ in range(3000):
+        modes = int(rng.integers(1, 41))
+        floors = 10.0 ** rng.uniform(-3.0, 3.0, size=modes)
+        u = rng.uniform()
+        if u < 0.2:
+            # ties: a few distinct values, repeated
+            floors = rng.choice(floors[:3], size=modes)
+        elif u < 0.3:
+            floors = rng.integers(1, 4, size=modes).astype(float)
+        floors[rng.uniform(size=modes) < 0.15] = np.inf
+        if rng.uniform() < 0.03:
+            floors[:] = np.inf
+        u = rng.uniform()
+        if u < 0.1:
+            P = 0.0
+        elif u < 0.25:
+            P = float(10.0 ** rng.uniform(-9.0, -6.0))
+        elif u < 0.4:
+            P = float(10.0 ** rng.uniform(4.0, 6.0))
+        else:
+            P = float(10.0 ** rng.uniform(-6.0, 4.0))
+        finite = floors[np.isfinite(floors)]
+        seen["inf"] += finite.size < modes
+        seen["all-inf"] += finite.size == 0
+        seen["ties"] += np.unique(finite).size < finite.size
+        seen["zero"] += P == 0
+        seen["tiny"] += 0 < P <= 1e-6
+        seen["large"] += P >= 1e4
+        got, mu = cap._waterfill_floors(floors, P)
+        want, want_mu = _reference_waterfill_floors(floors, P)
+        assert got.tobytes() == want.tobytes()
+        assert mu == want_mu and type(mu) is type(want_mu)
+    assert min(seen.values()) >= 50, seen
 
 
 class TestHetHom:

@@ -6,8 +6,14 @@ import warnings
 import numpy as np
 import pytest
 
+from gausscap import cli
 from gausscap.active import active_sample
-from gausscap.capacity import het_hom_general, holevo_general, hom_general_aligned
+from gausscap.capacity import (
+    diagonal_capacity,
+    het_hom_general,
+    holevo_general,
+    hom_general_aligned,
+)
 from gausscap.channels import (
     GaussianChannel,
     NoiseParams,
@@ -54,6 +60,15 @@ def write_channel(path, ch):
 
 
 class TestCapacity:
+    def test_uniform_split_of_a_large_budget(self, capsys):
+        # 14 copies of 4e6/14 sum to a few ulps above 4e6
+        code, out = run(capsys, "capacity", "--lambdas-rule", "0.5", "--N",
+                        "14", "--power", "4e6", "--method", "het", "--alloc",
+                        "uniform")
+        assert code == EXIT_OK
+        report = json.loads(out)
+        assert report["allocation"] == [4e6 / 14] * 14
+
     def test_identity_mode_uniform(self, capsys):
         code, out = run(capsys, "capacity", "--lambdas", "1.0", "--power",
                         "1", "--method", "holevo", "--alloc", "uniform")
@@ -225,6 +240,47 @@ class TestSweepModes:
         assert lines[2] == "1,het,waterfill,2.32192809489"
         assert len(lines) == 7
 
+    def test_waterfill_of_a_large_budget(self, capsys):
+        code, out = run(capsys, "sweep-modes", "--N-range", "1..40",
+                        "--lambdas-rule", "0.1+0.8*k/N", "--methods",
+                        "holevo", "--allocs", "waterfill", "--power", "1e9",
+                        "--n", "0.3", "--xi", "0.1")
+        assert code == EXIT_OK and out.count("\n") == 41
+
+    @pytest.mark.parametrize("rule,n,xi,P", [
+        ("0.2+0.7*k/N", "0.3", "0.1", "4.5"),
+        ("1-k/(2*N)", "0", "0", "15"),
+        ("0.9", "1", "0.5", "1e-6"),
+        ("3*k*k/(N*N)/4", "0.05", "0.02", "2e4"),
+        ("(k+1)/(N+2)", "0", "0.3", "0"),
+        ("k/N+0.5", "0.2", "0.05", "1e9"),
+    ])
+    def test_rows_bit_identical_to_diagonal_capacity(self, capsys,
+                                                     monkeypatch, rule, n,
+                                                     xi, P):
+        # every row, printed in full, is diagonal_capacity of its own N
+        # evaluated alone on (lambda_k, n, xi) triples
+        monkeypatch.setattr(cli, "_fmt", float.hex)
+        # the classical capacity needs additive noise
+        methods = ["holevo", "het", "hom"] + (["classical"] if float(xi) else [])
+        allocs = ["uniform", "waterfill"]
+        code, out = run(capsys, "sweep-modes", "--N-range", "1..24",
+                        "--lambdas-rule", rule, "--methods",
+                        ",".join(methods), "--allocs", ",".join(allocs),
+                        "--power", P, "--n", n, "--xi", xi)
+        assert code == EXIT_OK
+        want = ["N,method,alloc,bits"]
+        for N in range(1, 25):
+            params = [(lam, float(n), float(xi))
+                      for lam in _rule_values(rule, N)]
+            for method in methods:
+                for alloc in allocs:
+                    bits = diagonal_capacity(params, float(P), method, alloc,
+                                             N).bits
+                    want.append("%d,%s,%s,%s"
+                                % (N, method, alloc, float.hex(bits)))
+        assert out.split("\n")[:-1] == want
+
     def test_identity_het_converges_upward(self, capsys):
         code, out = run(capsys, "sweep-modes", "--N-range", "1..64",
                         "--power", "15", "--methods", "het", "--allocs",
@@ -353,6 +409,25 @@ class TestRandom:
         cfg.write_text(json.dumps(dict(values, **{field: value})))
         code, out, err = run_err(capsys, *argv)
         assert code == EXIT_INPUT and out == "" and "--" + field in err
+
+    @pytest.mark.parametrize("flag,K,M", [("--K", "N/2", "3"),
+                                          ("--M", "2", "2.5")],
+                             ids=["K=N/2 at N=3", "M=2.5"])
+    def test_fractional_mode_count_is_input_error(self, capsys, flag, K, M):
+        # a fraction is refused, not truncated to the integer below it
+        code, out, err = run_err(capsys, "random", "--N", "3", "--K", K,
+                                 "--M", M, "--mode", "mc", "--samples", "10",
+                                 "--seed", "1", "--power", "5")
+        assert code == EXIT_INPUT and out == ""
+        assert flag + " must be an integer" in err
+
+    def test_integer_rule_value_runs(self, capsys):
+        # N/2 at N = 4 is the integer 2
+        code, out = run(capsys, "random", "--N", "4", "--K", "N/2", "--M",
+                        "3", "--mode", "mc", "--samples", "10", "--seed", "1",
+                        "--power", "5")
+        assert code == EXIT_OK
+        assert out.split("\n")[1].split(",")[:3] == ["4", "2", "3"]
 
     def test_rule_expressions(self, capsys):
         code, out = run(capsys, "random", "--N", "2..3", "--K", "1", "--M",

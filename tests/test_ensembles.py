@@ -2,6 +2,7 @@
 analytic expected capacities and the seeded Monte Carlo estimator."""
 
 import concurrent.futures
+import functools
 import math
 import threading
 
@@ -10,6 +11,7 @@ import pytest
 
 from gausscap import ensembles
 from gausscap._kernels import jacobi_sq_series
+from gausscap.capacity import mode_rates, noise_photons
 from gausscap.channels import NoiseParams
 from gausscap.ensembles import (
     EnsembleSpec,
@@ -153,6 +155,72 @@ class TestExpectedCapacity:
         chi = expected_capacity_passive(s, 15.0, "holevo")
         assert chi > het
         assert chi > hom
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_gauss_legendre_01(order):
+    t, w = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (t + 1.0), 0.5 * w
+
+
+def _reference_expected_capacity_passive(spec, P, method):
+    """The analytic mean with one integrand evaluation per quadrature order.
+
+    A verbatim copy of expected_capacity_passive, and of its node cache
+    above, from before orders 32 and 64 shared one pass over their stacked
+    nodes.
+    """
+    if P < 0:
+        raise ValueError("power must be nonnegative")
+    density = spectral_density(spec)
+    m = min(spec.K, spec.N)
+    P_mode = P / spec.N
+    n, xi = spec.noise.n, spec.noise.xi
+    value = 0.0
+    prev = None
+    for order in (32, 64, 128, 256, 512, 1024, 2048):
+        lam, w = _reference_gauss_legendre_01(order)
+        c1 = mode_rates(lam, P_mode, noise_photons(lam, n, xi), method)
+        value = m * float(np.sum(w * c1 * density.pdf(lam)))
+        if prev is not None and abs(value - prev) <= 1e-8 * max(abs(value), 1e-12):
+            break
+        prev = value
+    return value
+
+
+# (N, K, M) with K = N = M up to 24, the noise-free ones at N = 1, 4 and 12
+# escalating to order 256, and configs with K != N != M on both sides
+ANALYTIC_GRID = [(1, 1, 1), (2, 2, 2), (4, 4, 4), (12, 12, 12), (24, 24, 24),
+                 (1, 3, 5), (3, 1, 2), (2, 3, 3), (5, 2, 9), (6, 4, 7),
+                 (4, 7, 7), (9, 5, 6)]
+
+
+@pytest.mark.parametrize("method", ["holevo", "het", "hom"])
+def test_expected_capacity_bit_identical_to_reference(method):
+    for N, K, M in ANALYTIC_GRID:
+        for n, xi in [(0.0, 0.0), (0.3, 0.1), (0.0, 0.25), (1.0, 0.0)]:
+            for P in [0.0, 1e-6, 0.37, 5.5, 15.0, 1e3, 1e6]:
+                spec = spec_for(N, K, M, n=n, xi=xi)
+                got = expected_capacity_passive(spec, P, method)
+                want = _reference_expected_capacity_passive(spec, P, method)
+                assert got.hex() == want.hex(), (N, K, M, n, xi, P)
+
+
+def test_noise_free_grid_escalates_past_order_64(monkeypatch):
+    # the reference above is compared beyond the stacked 32/64 pass too
+    seen = []
+    escalation = ensembles._escalation
+
+    def counted(terms):
+        for step in escalation(terms):
+            seen.append(len(step[0]))
+            yield step
+
+    monkeypatch.setattr(ensembles, "_escalation", counted)
+    for N in (1, 4, 12):
+        seen.clear()
+        expected_capacity_passive(spec_for(N, N, N), 5.5, "holevo")
+        assert seen == [32, 64, 128, 256]
 
 
 class TestMonteCarlo:
