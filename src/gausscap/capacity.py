@@ -57,11 +57,11 @@ class PowerAllocation:
     """Mean photon numbers per singular mode, summing to at most `total`.
 
     The budget test is sum(per_mode) <= total + 1e-9 + 4 n eps |total|, with
-    n modes and eps the double-precision machine epsilon.  The relative term
-    covers the rounding of an n-way split of the budget and of its float
-    sum, which together stay below about 2 n eps/2 of the total whatever
-    the summation order; an allocation over budget by more than that is
-    refused.
+    n modes and eps the double-precision machine epsilon.  Splitting the
+    budget n ways (or rescaling an allocation onto it) and summing the parts
+    in floating point rounds by at most about n eps of the total, whatever
+    the summation order, so the relative term forgives that rounding with a
+    margin of 4 and nothing more; 1e-9 photons is the absolute slack.
     """
 
     per_mode: np.ndarray
@@ -122,6 +122,7 @@ class _Modes:
         self._noise = None
 
     def noise(self):
+        """N_k of every mode; NegativeEntropyArgument if one is below 0."""
         if self._noise is None:
             Nk = noise_photons(self.lams, self.ns, self.xis)
             if Nk.size and Nk.min() < -1e-12:
