@@ -441,7 +441,8 @@ def classical_capacity(lambdas, xi, P):
 def diagonal_capacity(params, P, method, alloc, n_signal):
     """Capacity of parallel single-mode channels under the power budget P.
 
-    `params` are (lambda_k, n, xi) triples.  `method` is holevo, het, hom or
+    `params` are (lambda_k, n, xi) triples, or a _Modes built from them
+    once for several calls.  `method` is holevo, het, hom or
     classical; the classical Shannon capacity uses the additive noise xi of
     the first triple, log2(1 + lambda_k P_k / xi) per mode.  `alloc` is
     "uniform", P/N photons on each of the first N = `n_signal` modes, or

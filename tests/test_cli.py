@@ -262,7 +262,9 @@ class TestSweepModes:
         # evaluated alone on (lambda_k, n, xi) triples
         monkeypatch.setattr(cli, "_fmt", float.hex)
         # the classical capacity needs additive noise
-        methods = ["holevo", "het", "hom"] + (["classical"] if float(xi) else [])
+        methods = ["holevo", "het", "hom"]
+        if float(xi) > 0:
+            methods.append("classical")
         allocs = ["uniform", "waterfill"]
         code, out = run(capsys, "sweep-modes", "--N-range", "1..24",
                         "--lambdas-rule", rule, "--methods",
@@ -412,7 +414,7 @@ class TestRandom:
 
     @pytest.mark.parametrize("flag,K,M", [("--K", "N/2", "3"),
                                           ("--M", "2", "2.5")],
-                             ids=["K=N/2 at N=3", "M=2.5"])
+                             ids=["K-N/2-at-N3", "M-2.5"])
     def test_fractional_mode_count_is_input_error(self, capsys, flag, K, M):
         # a fraction is refused, not truncated to the integer below it
         code, out, err = run_err(capsys, "random", "--N", "3", "--K", K,

@@ -7,8 +7,9 @@ the uniform split.  Examples come from hypothesis with derandomize=True, so
 every run draws the same ones.
 
 The grid, stated up front: lambda in [1e-4, 1], n in [0, 1], xi in
-[0, 0.5], P in [1e-3, 1e3] and N = 1..24.  The lower end of lambda is a
-known defect, not a property: the heterodyne and homodyne water-fill
+[0, 0.5], P in [1e-3, 1e3] and N = 1..24; the second test spreads its N
+modes over (lambda/2, lambda].  A known defect, not the properties, sets
+the lower end of lambda: the heterodyne and homodyne water-fill
 computes each power as mu - f_k with floors f_k = O(1/lambda), and below
 lambda ~ 1e-5 (floors ~ 1e5 photons) its rounding overshoots the budget,
 so the command exits 2 with "allocation exceeds the power budget".
@@ -33,7 +34,7 @@ import pytest
 
 from gausscap.cli import main
 
-hypothesis = pytest.importorskip("hypothesis")
+pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 METHODS = ["holevo", "het", "hom"]
