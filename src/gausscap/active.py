@@ -88,7 +88,8 @@ def _check_receivers(spec, allow_rect):
     if spec.K > spec.N and not allow_rect:
         raise InsufficientEnvironment(
             "active sampling requires K <= N (receiver modes are signal "
-            "modes); pass allow_rect to truncate the enlarged transform"
+            "modes); pass allow_rect=True (--allow-rect-active on the command "
+            "line) to truncate the enlarged transform"
         )
 
 

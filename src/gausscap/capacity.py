@@ -275,7 +275,7 @@ def waterfill_holevo(params, P):
             else:
                 w_hi = w_mid
         else:
-            w_mid = 0.5 * (w_lo + w_hi)
+            w_mid = w_lo   # spends >= P, so the rescale below spends P
             power_at(w_mid)
     per_mode = np.zeros(lams.shape)
     per_mode[active] = buf

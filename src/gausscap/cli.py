@@ -8,12 +8,11 @@ Subcommands:
                      CSV "N,K,M,sigma2,method,mode,bits,stderr"
 * ``density``     -- analytic eigenvalue density, CSV "lambda,p_lambda"
 
-Every command is deterministic given its flags and seed.  Flags can also be
-supplied through ``--config FILE`` (a JSON object whose keys are the long
-flag names of the subcommand with dashes replaced by underscores; any other
-key is an input error); explicit flags win.  Exit codes: 0 ok, 2 input
-error, 3 unphysical parameters or a non-finite result, 4 ensemble-parameter
-error, 64 usage.
+Every command is deterministic given its flags and seed.  A ``--config FILE``
+JSON object sets options as flags do: key ``k`` with value ``v`` means the flag
+``--k=v`` (see _with_config), and flags on the command line win.  Exit codes:
+0 ok, 2 input error (a malformed value, whatever its source), 3 unphysical
+parameters or a non-finite result, 4 ensemble-parameter error, 64 usage.
 """
 
 import argparse
@@ -48,8 +47,14 @@ EXIT_UNPHYSICAL = 3
 EXIT_ENSEMBLE = 4
 EXIT_USAGE = 64
 
+
+class _BadValue(Exception):
+    """A malformed option value (not a ValueError, which argparse catches)."""
+
+
 _INPUT_ERRORS = (InvalidChannel, DimensionMismatch, NotBlockForm,
-                 NonThermalNoise, OSError, ValueError)
+                 NonThermalNoise, OSError, ValueError, _BadValue,
+                 RecursionError)   # a rule nested too deeply to evaluate
 _UNPHYSICAL_ERRORS = (UnphysicalOutput, NegativeEntropyArgument,
                       NonPositiveDefinite, NegativeArgument, NotHermitian,
                       ZeroNoiseClassical, NoFeasibleWaterlevel, SingularNoise)
@@ -60,6 +65,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
+
+    # An option with a type or choices converts its text through _convert: a
+    # malformed value, from a flag or --config, is an input error (exit 2).
+    def add_argument(self, *flags, **kwargs):
+        if "type" in kwargs or "choices" in kwargs:
+            kwargs["type"] = functools.partial(
+                _convert, flags[0], kwargs.get("type", str),
+                kwargs.get("choices"))
+        return super().add_argument(*flags, **kwargs)
+
+
+def _convert(flag, convert, choices, text):
+    try:
+        value = convert(text)
+        if choices is not None and value not in choices:
+            raise ValueError("must be one of " + ", ".join(choices))
+    except ValueError as exc:
+        raise _BadValue("%s %s, got %r" % (flag, exc, text)) from None
+    return value
 
 
 def _fmt(x):
@@ -73,12 +97,47 @@ def _finite_result(x):
     return x
 
 
-def _finite(value, flag):
-    """float(value), refusing NaN and +-inf as input errors."""
-    x = float(value)
-    if not math.isfinite(x):
-        raise ValueError("%s must be a finite number, got %r" % (flag, value))
+def _number(text, kind=float, least=-math.inf):
+    """kind(text), refusing non-numbers, NaN, +-inf and values below least."""
+    try:
+        x = kind(text)
+    except ValueError:
+        x = math.nan
+    if not -math.inf < x < math.inf or x < least:
+        raise ValueError("must be %s%s" % (
+            "a finite number" if kind is float else "an integer",
+            "" if least == -math.inf else " >= %g" % least))
     return x
+
+
+_power = functools.partial(_number, least=0)
+_integer = functools.partial(_number, kind=int)
+_count = functools.partial(_number, kind=int, least=1)
+
+
+def _counts(text):
+    """A mode count or an inclusive range 'a..b' of them, as a list."""
+    lo, dots, hi = text.partition("..")
+    counts = list(range(_count(lo), _count(hi if dots else lo) + 1))
+    if not counts:
+        raise ValueError("must not be an empty range")
+    return counts
+
+
+def _transmissions(text):
+    lams = [_number(tok) for tok in text.split(",") if tok.strip()]
+    if not lams:
+        raise ValueError("must list at least one value")
+    return lams
+
+
+def _some_of(*names):
+    def some_of(text):
+        picked = [tok.strip() for tok in text.split(",") if tok.strip()]
+        if not picked or not set(picked) <= set(names):
+            raise ValueError("must be a comma list of " + ",".join(names))
+        return picked
+    return some_of
 
 
 _RULE_OPS = {ast.Add, ast.Sub, ast.Mult, ast.Div}
@@ -91,6 +150,11 @@ def _rule_tree(expr):
         return ast.parse(expr, mode="eval").body
     except SyntaxError as exc:
         raise ValueError("cannot parse rule %r: %s" % (expr, exc)) from None
+
+
+def _rule(text):
+    _rule_tree(text)   # its tokens are checked when it is evaluated
+    return text
 
 
 def _eval_node(node, names, expr):
@@ -161,43 +225,12 @@ def _rule_values(expr, N):
     return _rule_array(expr, N).tolist()
 
 
-def _integer(value, flag):
-    """An integer option, from a flag's text or a --config number.
-
-    A fraction (1.5 or "1.5") or a non-number is an input error rather than
-    being truncated.
-    """
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            pass
-    elif (isinstance(value, (int, float)) and not isinstance(value, bool)
-          and math.isfinite(value) and value == int(value)):
-        return int(value)
-    raise ValueError("%s must be an integer, got %r" % (flag, value))
-
-
-def _power_and_modes(args, counts, flag):
-    """--power as a finite P >= 0, once the mode counts of `flag` are >= 1."""
-    if counts and min(counts) < 1:
-        raise ValueError("%s must give mode counts >= 1" % flag)
-    P = _finite(args.power, "--power")
-    if P < 0:
-        raise ValueError("--power must be >= 0, got %r" % P)
-    return P
-
-
-def _parse_range(text):
-    """An int or an inclusive 'a..b' range, as a list of ints."""
-    text = str(text).strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-        if hi < lo:
-            raise ValueError("empty range %r" % text)
-        return list(range(lo, hi + 1))
-    return [int(text)]
+def _mode_count(rule, N, flag):
+    """The value of a --K or --M rule at N, which must be a whole number."""
+    value = eval_rule(rule, N=N)
+    if value != int(value):
+        raise ValueError("%s must be an integer, got %r" % (flag, value))
+    return int(value)
 
 
 def _emit(text, path):
@@ -208,67 +241,72 @@ def _emit(text, path):
             fh.write(text)
 
 
-def _apply_config(args, defaults):
-    """Fill unset (None) options from --config JSON, then from defaults."""
-    cfg = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            cfg = json.load(fh)
-        if not isinstance(cfg, dict):
-            raise ValueError("config file must hold a JSON object")
-        # the subcommand's option destinations, not argparse's bookkeeping
-        options = set(vars(args)) - {"command", "func", "defaults"}
-        for key in cfg:
-            if key not in options:
-                raise ValueError("unknown config key %r for %s"
-                                 % (key, args.command))
+def _with_config(parser, argv):
+    """argv with the options of its --config file inserted after the
+    subcommand as --flag=value tokens, so that the flags after them win.
+
+    A key is a long flag name with '_' for '-'.  A string value is the flag's
+    text and any other value its JSON text; null leaves the option unset, a
+    switch takes true or false, and a file option a string or a number.
+    """
+    # argparse reads --config only from a token that starts with "--c"
+    if not any(tok.startswith("--c") for tok in argv[1:]):
+        return argv
+    probe = _Parser(prog="gausscap " + argv[0], add_help=False)
+    probe.add_argument("--config")
+    path = probe.parse_known_args(argv[1:])[0].config
+    commands = next(action.choices for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    if path is None or argv[0] not in commands:
+        return argv
+    with open(path) as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError("config file must hold a JSON object")
+    options = {action.dest: action for action in commands[argv[0]]._actions
+               if action.option_strings and action.dest != "help"}
+    front = []
     for key, value in cfg.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    for key, value in defaults.items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return args
-
-
-def _require(parser, args, *names):
-    for name in names:
-        if getattr(args, name, None) is None:
-            parser.error("the following argument is required: --%s"
-                         % name.replace("_", "-"))
+        action = options.get(key)
+        if action is None:
+            raise ValueError("unknown config key %r for %s" % (key, argv[0]))
+        switch = action.nargs == 0
+        if value is None or value is False and switch:
+            continue
+        if (value is not True if switch else action.type is None
+                and isinstance(value, (bool, list, dict))):
+            raise ValueError("config key %r cannot take %s: a switch takes "
+                             "true or false, a file a string or a number"
+                             % (key, json.dumps(value)))
+        text = value if isinstance(value, str) else json.dumps(value)
+        front.append(action.option_strings[0] + ("" if switch else "=" + text))
+    return argv[:1] + front + argv[1:]
 
 
 def _channel_params(args, parser):
     """Resolve the (lambda_k, n, xi) list and the input-mode count."""
-    noise_n = _finite(args.n, "--n")
-    xi = _finite(args.xi, "--xi")
     if args.lambdas is not None:
-        lams = [_finite(tok, "--lambdas") for tok in str(args.lambdas).split(",")
-                if tok.strip()]
-        if not lams:
-            raise ValueError("--lambdas must list at least one value")
+        lams = args.lambdas
     elif args.lambdas_rule is not None:
-        _require(parser, args, "N")
-        lams = _rule_values(str(args.lambdas_rule), int(args.N))
+        if args.N is None:
+            parser.error("the following argument is required: --N")
+        lams = _rule_values(args.lambdas_rule, args.N)
     else:
         parser.error("one of --channel, --lambdas or --lambdas-rule is required")
     if min(lams) < 0:
         raise ValueError("transmissions must be nonnegative")
-    return [(lam, noise_n, xi) for lam in lams], len(lams)
+    return [(lam, args.n, args.xi) for lam in lams], len(lams)
 
 
 def cmd_capacity(args, parser):
-    _require(parser, args, "power")
-    by_rule = (args.channel is None and args.lambdas is None
-               and args.lambdas_rule is not None and args.N is not None)
-    P = _power_and_modes(args, [int(args.N)] if by_rule else [], "--N")
     if args.channel is not None:
         with open(args.channel) as fh:
             ch = channels.channel_from_json(fh.read())
         if not channels.validate_channel(ch):
             raise UnphysicalOutput(
                 "channel file violates the noise bound Y - (i/2)Sigma >= 0")
-        res = capacity._channel_capacity(ch, P, args.method, args.alloc)
+        res = capacity._channel_capacity(ch, args.power, args.method,
+                                         args.alloc)
         # an unset --alloc water-fills a diagonalizable channel; any other
         # channel takes the general path, which has no per-mode allocation
         alloc = args.alloc or ("uniform" if res.allocation is None
@@ -276,8 +314,8 @@ def cmd_capacity(args, parser):
     else:
         alloc = args.alloc or "waterfill"
         params, n_signal = _channel_params(args, parser)
-        res = capacity.diagonal_capacity(params, P, args.method, alloc,
-                                         n_signal)
+        res = capacity.diagonal_capacity(params, args.power, args.method,
+                                         alloc, n_signal)
     per_mode = [] if res.allocation is None else res.allocation.per_mode
     mu = res.waterlevel
     report = {
@@ -288,40 +326,24 @@ def cmd_capacity(args, parser):
         # JSON has no infinity: a water level that is infinite (the holevo
         # threshold of a noise-free mode at zero power) is reported as null
         "mu": mu if mu is None or math.isfinite(mu) else None,
-        "power": P,
+        "power": args.power,
     }
     _emit(json.dumps(report, indent=2, allow_nan=False) + "\n", args.output)
     return EXIT_OK
 
 
 def cmd_sweep_modes(args, parser):
-    _require(parser, args, "N_range", "power")
-    n_values = _parse_range(args.N_range)
-    methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-    allocs = [tok.strip() for tok in args.allocs.split(",") if tok.strip()]
-    for method in methods:
-        if method not in ("holevo", "het", "hom", "classical"):
-            raise ValueError("unknown method %r" % method)
-    for alloc in allocs:
-        if alloc not in ("uniform", "waterfill"):
-            raise ValueError("unknown allocation %r" % alloc)
-    P = _power_and_modes(args, n_values, "--N-range")
-    noise_n = _finite(args.n, "--n")
-    xi = _finite(args.xi, "--xi")
-    # a --config number is a rule too; a JSON boolean, list or object
-    # becomes text that no rule token matches
-    rule = str(args.lambdas_rule)
     lines = ["N,method,alloc,bits"]
-    for N in n_values:
-        lams = _rule_array(rule, N)
+    for N in args.N_range:
+        lams = _rule_array(args.lambdas_rule, N)
         if lams.min() < 0:
             raise ValueError("transmissions must be nonnegative")
         # one set of mode arrays per N, shared by all its rows
-        modes = capacity._Modes(lams, noise_n, xi)
-        for method in methods:
-            for alloc in allocs:
-                bits = capacity.diagonal_capacity(modes, P, method, alloc,
-                                                  N).bits
+        modes = capacity._Modes(lams, args.n, args.xi)
+        for method in args.methods:
+            for alloc in args.allocs:
+                bits = capacity.diagonal_capacity(modes, args.power, method,
+                                                  alloc, N).bits
                 lines.append("%d,%s,%s,%s"
                              % (N, method, alloc, _fmt(_finite_result(bits))))
     _emit("\n".join(lines) + "\n", args.output)
@@ -329,39 +351,27 @@ def cmd_sweep_modes(args, parser):
 
 
 def cmd_random(args, parser):
-    _require(parser, args, "N", "power")
     if args.mode == "mc" and args.seed is None:
         parser.error("--seed is required in mc mode")
-    sigma2 = _finite(args.sigma2, "--sigma2")
-    if args.mode == "analytic" and sigma2 != 0:
+    if args.mode == "analytic" and args.sigma2 != 0:
         parser.error("analytic mode requires sigma2 = 0")
-    n_values = _parse_range(args.N)
-    if args.dump_samples and (len(n_values) != 1 or args.mode != "mc"):
+    if args.dump_samples and (len(args.N) != 1 or args.mode != "mc"):
         parser.error("--dump-samples needs mc mode and a single configuration")
-    P = _power_and_modes(args, n_values, "--N")
-    noise = channels.NoiseParams(_finite(args.n, "--n"), _finite(args.xi, "--xi"))
-    threads = args.threads if args.threads is None else int(args.threads)
-    seed = 0 if args.seed is None else _integer(args.seed, "--seed")
+    noise = channels.NoiseParams(args.n, args.xi)
     rows = []
-    for N in n_values:
-        K = N if args.K is None else _integer(eval_rule(str(args.K), N=N),
-                                              "--K")
-        M = N if args.M is None else _integer(eval_rule(str(args.M), N=N),
-                                              "--M")
+    for N in args.N:
+        K = N if args.K is None else _mode_count(args.K, N, "--K")
+        M = N if args.M is None else _mode_count(args.M, N, "--M")
         spec = ensembles.EnsembleSpec(N=N, K=K, M=M, noise=noise,
-                                      sigma2=sigma2, seed=seed)
+                                      sigma2=args.sigma2, seed=args.seed or 0)
         if args.mode == "analytic":
-            bits = ensembles.expected_capacity_passive(spec, P, args.method)
+            bits = ensembles.expected_capacity_passive(spec, args.power,
+                                                       args.method)
             rows.append((spec, _finite_result(bits), None))
         else:
-            if sigma2 > 0 and K > N and not args.allow_rect_active:
-                raise InsufficientEnvironment(
-                    "active sampling requires K <= N (receiver modes are "
-                    "signal modes); pass --allow-rect-active to truncate the "
-                    "enlarged transform")
             mean, se = active.mc_capacity_active(
-                spec, P, args.method, _integer(args.samples, "--samples"),
-                threads=threads, allow_rect=args.allow_rect_active,
+                spec, args.power, args.method, args.samples,
+                threads=args.threads, allow_rect=args.allow_rect_active,
                 dump_path=args.dump_samples)
             rows.append((spec, _finite_result(mean), _finite_result(se)))
     lines = ["N,K,M,sigma2,method,mode,bits,stderr"]
@@ -374,10 +384,9 @@ def cmd_random(args, parser):
 
 
 def cmd_density(args, parser):
-    _require(parser, args, "N", "K", "M")
-    spec = ensembles.EnsembleSpec(N=int(args.N), K=int(args.K), M=int(args.M))
+    spec = ensembles.EnsembleSpec(N=args.N, K=args.K, M=args.M)
     density = ensembles.spectral_density(spec)
-    grid = np.linspace(0.0, 1.0, int(args.grid))
+    grid = np.linspace(0.0, 1.0, args.grid)
     values = density.pdf(grid)
     lines = ["lambda,p_lambda"]
     lines.extend("%s,%s" % (_fmt(lam), _fmt(_finite_result(p)))
@@ -391,91 +400,86 @@ def build_parser():
                      description="Capacities of multimode Gaussian channels")
     sub = parser.add_subparsers(dest="command", metavar="command")
     sub.required = True
+    files = _Parser(add_help=False)
+    files.add_argument("--config", help="JSON file of option values")
+    files.add_argument("--output", help="write to this file instead of stdout")
+    budget = _Parser(add_help=False)
+    budget.add_argument("--n", type=_number, default=0.0,
+                        help="thermal photons per env mode")
+    budget.add_argument("--xi", type=_number, default=0.0,
+                        help="additive noise")
+    budget.add_argument("--power", type=_power, required=True,
+                        help="total mean photons P")
 
-    def common(p):
-        p.add_argument("--config", help="JSON file of default option values")
-        p.add_argument("--output", help="write to this file instead of stdout")
-
-    p_cap = sub.add_parser("capacity", parents=[], description=(
-        "Capacity of one channel, as JSON"))
+    p_cap = sub.add_parser("capacity", parents=[budget, files],
+                           description="Capacity of one channel, as JSON")
     p_cap.add_argument("--channel", help="channel JSON file")
-    p_cap.add_argument("--lambdas", help="comma-separated transmissions")
-    p_cap.add_argument("--lambdas-rule", dest="lambdas_rule",
+    p_cap.add_argument("--lambdas", type=_transmissions,
+                       help="comma-separated transmissions")
+    p_cap.add_argument("--lambdas-rule", type=_rule,
                        help="per-mode rule over k and N, e.g. '0.2+0.7*k/N'")
-    p_cap.add_argument("--N", type=int, help="mode count for --lambdas-rule")
-    p_cap.add_argument("--n", default=None, help="thermal photons per env mode")
-    p_cap.add_argument("--xi", default=None, help="additive noise")
-    p_cap.add_argument("--power", type=float, help="total mean photons P")
-    p_cap.add_argument("--method", choices=["holevo", "het", "hom", "classical"],
-                       default=None)
-    p_cap.add_argument("--alloc", choices=["uniform", "waterfill"], default=None)
-    common(p_cap)
-    p_cap.set_defaults(func=cmd_capacity,
-                       defaults={"n": 0.0, "xi": 0.0, "method": "holevo"})
+    p_cap.add_argument("--N", type=_count, help="modes of --lambdas-rule")
+    p_cap.add_argument("--method", default="holevo",
+                       choices=["holevo", "het", "hom", "classical"])
+    p_cap.add_argument("--alloc", choices=["uniform", "waterfill"])
+    p_cap.set_defaults(func=cmd_capacity)
 
-    p_sweep = sub.add_parser("sweep-modes", description=(
-        "Capacity versus mode count, as CSV"))
-    p_sweep.add_argument("--N-range", dest="N_range",
+    p_sweep = sub.add_parser("sweep-modes", parents=[budget, files],
+                             description="Capacity versus mode count, as CSV")
+    p_sweep.add_argument("--N-range", type=_counts, required=True,
                          help="inclusive range 'a..b' or single N")
-    p_sweep.add_argument("--lambdas-rule", dest="lambdas_rule", default=None)
-    p_sweep.add_argument("--power", type=float)
-    p_sweep.add_argument("--methods", default=None,
+    p_sweep.add_argument("--lambdas-rule", type=_rule, default="1")
+    p_sweep.add_argument("--methods",
+                         type=_some_of("holevo", "het", "hom", "classical"),
+                         default=["holevo"],
                          help="comma list of holevo,het,hom,classical")
-    p_sweep.add_argument("--allocs", default=None,
+    p_sweep.add_argument("--allocs", type=_some_of("uniform", "waterfill"),
+                         default=["waterfill"],
                          help="comma list of uniform,waterfill")
-    p_sweep.add_argument("--n", default=None)
-    p_sweep.add_argument("--xi", default=None)
-    common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep_modes,
-                         defaults={"lambdas_rule": "1", "methods": "holevo",
-                                   "allocs": "waterfill", "n": 0.0, "xi": 0.0})
+    p_sweep.set_defaults(func=cmd_sweep_modes)
 
-    p_rand = sub.add_parser("random", description=(
+    p_rand = sub.add_parser("random", parents=[budget, files], description=(
         "Random-ensemble capacities, analytic or Monte Carlo, as CSV"))
-    p_rand.add_argument("--N", help="signal modes: int or range 'a..b'")
-    p_rand.add_argument("--K", help="receiver modes: int or rule over N")
-    p_rand.add_argument("--M", help="environment modes: int or rule over N")
-    p_rand.add_argument("--sigma2", default=None, help="squeezing variance")
-    p_rand.add_argument("--mode", choices=["analytic", "mc"], default=None)
-    p_rand.add_argument("--samples", default=None, help="MC sample count")
-    p_rand.add_argument("--seed", type=int, help="base seed (required for mc)")
-    p_rand.add_argument("--power", type=float)
-    p_rand.add_argument("--method", choices=["holevo", "het", "hom"], default=None)
-    p_rand.add_argument("--n", default=None)
-    p_rand.add_argument("--xi", default=None)
-    p_rand.add_argument("--threads", default=None,
+    p_rand.add_argument("--N", type=_counts, required=True,
+                        help="signal modes: int or range 'a..b'")
+    p_rand.add_argument("--K", type=_rule, help="receiver modes: rule over N")
+    p_rand.add_argument("--M", type=_rule, help="env modes: rule over N")
+    p_rand.add_argument("--sigma2", type=_number, default=0.0,
+                        help="squeezing variance")
+    p_rand.add_argument("--mode", choices=["analytic", "mc"],
+                        default="analytic")
+    p_rand.add_argument("--samples", type=_integer, default=1000,
+                        help="MC sample count")
+    p_rand.add_argument("--seed", type=_integer, help="base seed (mc only)")
+    p_rand.add_argument("--method", choices=["holevo", "het", "hom"],
+                        default="holevo")
+    p_rand.add_argument("--threads", type=_integer,
                         help="worker cap for active (sigma2 > 0) MC, "
                              "GAUSSCAP_THREADS as fallback; passive MC runs "
                              "batched in the calling thread")
-    p_rand.add_argument("--allow-rect-active", dest="allow_rect_active",
-                        action="store_true",
+    p_rand.add_argument("--allow-rect-active", action="store_true",
                         help="allow K > N in active (sigma2 > 0) MC by "
                              "truncating the enlarged transform")
-    p_rand.add_argument("--dump-samples", dest="dump_samples",
+    p_rand.add_argument("--dump-samples",
                         help="per-sample CSV (single configuration only)")
-    common(p_rand)
-    p_rand.set_defaults(func=cmd_random,
-                        defaults={"sigma2": 0.0, "mode": "analytic",
-                                  "samples": 1000, "method": "holevo",
-                                  "n": 0.0, "xi": 0.0})
+    p_rand.set_defaults(func=cmd_random)
 
-    p_dens = sub.add_parser("density", description=(
+    p_dens = sub.add_parser("density", parents=[files], description=(
         "Analytic transmission-eigenvalue density, as CSV"))
-    p_dens.add_argument("--N", type=int)
-    p_dens.add_argument("--K", type=int)
-    p_dens.add_argument("--M", type=int)
-    p_dens.add_argument("--grid", default=None, help="grid points on [0, 1]")
-    common(p_dens)
-    p_dens.set_defaults(func=cmd_density, defaults={"grid": 1001})
+    for flag in ("--N", "--K", "--M"):
+        p_dens.add_argument(flag, type=_count, required=True)
+    p_dens.add_argument("--grid", type=_integer, default=1001,
+                        help="grid points on [0, 1]")
+    p_dens.set_defaults(func=cmd_density)
 
     return parser
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        _apply_config(args, args.defaults)
+        args = parser.parse_args(_with_config(parser, argv))
         return args.func(args, parser)
     except InsufficientEnvironment as exc:
         print("error: %s" % exc, file=sys.stderr)

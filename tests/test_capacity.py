@@ -181,6 +181,27 @@ class TestQuantumWaterfilling:
             uni = cap.holevo_diagonal(params, cap.uniform_allocation(3, P))
             assert res.bits >= uni - 1e-9
 
+    @pytest.mark.parametrize("P", [0.3, 1.0, 7.0])
+    @pytest.mark.parametrize("lam", [1e-70, 1e-100, 1e-300])
+    def test_unconverged_single_mode_spends_the_budget(self, lam, P):
+        # below about 4e-63 the 200 bisection steps cannot reach the water
+        # level; one mode must still get all of P, as under the uniform split
+        res = cap.waterfill_holevo([(lam, 0.0, 0.0)], P)
+        uni = cap.holevo_diagonal([(lam, 0.0, 0.0)],
+                                  cap.uniform_allocation(1, P))
+        assert res.bits > 0
+        assert res.bits == pytest.approx(uni, rel=1e-15, abs=0)
+        assert res.allocation.per_mode[0] == pytest.approx(P, rel=1e-15,
+                                                           abs=0)
+
+    @pytest.mark.parametrize("P", [0.3, 1.0, 7.0])
+    def test_unconverged_modes_spend_the_budget(self, P):
+        params = [(1e-100 * k, 0.0, 0.0) for k in (1, 2, 3)]
+        res = cap.waterfill_holevo(params, P)
+        uni = cap.holevo_diagonal(params, cap.uniform_allocation(3, P))
+        assert res.allocation.per_mode.sum() == pytest.approx(P, rel=1e-12)
+        assert res.bits >= uni > 0
+
 
 def _reference_waterfill_holevo(params, P):
     """Quantum water-filling with a numpy errstate and np.sum in every step.

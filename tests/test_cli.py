@@ -1,5 +1,6 @@
 """Command-line interface tests, run in-process through main(argv)."""
 
+import argparse
 import json
 import warnings
 
@@ -211,6 +212,14 @@ class TestCapacity:
                                  "--N", "0", "--power", "1")
         assert code == EXIT_INPUT and out == "" and "--N " in err
 
+    @pytest.mark.parametrize("terms", [1500, 3000])
+    def test_deeply_nested_rule_is_input_error(self, capsys, terms):
+        # 1500 terms parse but overflow the evaluator, 3000 overflow ast.parse
+        code, out, err = run_err(capsys, "capacity", "--lambdas-rule",
+                                 "+".join(["k"] * terms), "--N", "2",
+                                 "--power", "1")
+        assert code == EXIT_INPUT and out == "" and "recursion" in err
+
     def test_missing_channel_file(self, capsys, tmp_path):
         code, _ = run(capsys, "capacity", "--channel",
                       str(tmp_path / "nope.json"), "--power", "1")
@@ -305,6 +314,13 @@ class TestSweepModes:
         code, _ = run(capsys, "sweep-modes", "--N-range", "1..2", "--power",
                       "1", "--methods", "holevo,telepathy")
         assert code == EXIT_INPUT
+
+    @pytest.mark.parametrize("flag", ["--methods", "--allocs"])
+    def test_empty_list_is_input_error(self, capsys, flag):
+        # not a CSV of the header alone
+        code, out, err = run_err(capsys, "sweep-modes", "--N-range", "1..2",
+                                 "--power", "1", flag, " ,")
+        assert code == EXIT_INPUT and out == "" and flag in err
 
     def test_negative_power_is_input_error(self, capsys):
         code, out, err = run_err(capsys, "sweep-modes", "--N-range", "1..2",
@@ -587,6 +603,202 @@ class TestPlumbing:
     def test_missing_power_is_usage_error(self, capsys):
         code, _ = run(capsys, "capacity", "--lambdas", "1.0")
         assert code == EXIT_USAGE
+
+
+def run_config(capsys, tmp_path, argv, cfg):
+    """(exit code, stdout, stderr) of argv with `cfg` as its --config file."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    try:
+        code = main(list(argv) + ["--config", str(path)])
+    except SystemExit as err:   # argparse usage failures
+        code = err.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+MC = ["random", "--N", "2", "--mode", "mc", "--seed", "1", "--samples", "10",
+      "--power", "3"]
+
+
+class TestConfigValues:
+    """A --config value goes through the same types and choices as its flag."""
+
+    @pytest.mark.parametrize("argv,cfg,named", [
+        (["random", "--N", "2", "--power", "3", "--samples", "10"],
+         {"mode": "bogus"}, "--mode"),
+        (["capacity", "--lambdas", "0.5,0.7", "--power", "3"],
+         {"alloc": "bogus"}, "--alloc"),
+        (["capacity", "--lambdas", "0.5,0.7", "--power", "3"],
+         {"method": "bogus"}, "--method"),
+        (["density", "--N", "2", "--K", "1", "--M", "2"], {"grid": 3.7},
+         "--grid"),
+        (["density", "--K", "1", "--M", "2"], {"N": 2.5}, "--N"),
+        (["capacity", "--lambdas-rule", "k/4", "--power", "3"], {"N": 2.5},
+         "--N"),
+        (MC, {"threads": 1.9}, "--threads"),
+        (["capacity", "--lambdas", "0.5"], {"power": True}, "--power"),
+        (["random", "--N", "2", "--power", "3"], {"sigma2": True},
+         "--sigma2"),
+        (MC, {"dump_samples": True}, "'dump_samples'"),
+        (["sweep-modes", "--N-range", "1..2", "--power", "3"],
+         {"methods": 5}, "--methods"),
+        (["sweep-modes", "--N-range", "1..2", "--power", "3"],
+         {"allocs": ["uniform"]}, "--allocs"),
+        (["capacity", "--lambdas", "0.5", "--power", "3"], {"n": [0.1]},
+         "--n"),
+        (MC, {"allow_rect_active": "yes"}, "'allow_rect_active'"),
+    ], ids=["mode", "alloc", "method", "grid", "density-N", "capacity-N",
+            "threads", "power", "sigma2", "dump_samples", "methods", "allocs",
+            "n", "switch"])
+    def test_malformed_value_is_input_error(self, capsys, tmp_path, argv, cfg,
+                                            named):
+        code, out, err = run_config(capsys, tmp_path, argv, cfg)
+        assert code == EXIT_INPUT and out == "" and named in err
+
+    def test_switch_runs_like_the_flag(self, capsys, tmp_path):
+        argv = ["random", "--N", "2", "--K", "3", "--M", "3", "--mode", "mc",
+                "--samples", "10", "--seed", "1", "--power", "5", "--sigma2",
+                "0.05"]
+        code, flagged = run(capsys, *argv, "--allow-rect-active")
+        assert code == EXIT_OK
+        assert run_config(capsys, tmp_path, argv, {
+            "allow_rect_active": True}) == (EXIT_OK, flagged, "")
+        # false and null leave the switch unset, and the flag still wins
+        for value in (False, None):
+            assert run_config(capsys, tmp_path, argv,
+                              {"allow_rect_active": value})[0] == EXIT_ENSEMBLE
+            assert run_config(capsys, tmp_path, argv + ["--allow-rect-active"],
+                              {"allow_rect_active": value})[:2] == (
+                                  EXIT_OK, flagged)
+
+    def test_numeric_output_is_a_file_name(self, capsys, tmp_path,
+                                           monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["density", "--N", "1", "--K", "1", "--M", "1", "--grid", "3"]
+        _, want = run(capsys, *argv)
+        code, out, _ = run_config(capsys, tmp_path, argv, {"output": 5})
+        assert (code, out) == (EXIT_OK, "")
+        assert (tmp_path / "5").read_text() == want
+
+
+# A base command per subcommand, and for every option (good value, malformed
+# value or None), True standing for a switch that is set.  A new option must
+# be added here, so that its --config form is checked too.
+BASES = {
+    "capacity": {"lambdas_rule": "k/(N+1)", "N": "2", "power": "3"},
+    "sweep-modes": {"N_range": "1..2", "power": "3"},
+    "random": {"N": "2", "mode": "mc", "seed": "1", "samples": "8",
+               "power": "3"},
+    "density": {"N": "2", "K": "1", "M": "2", "grid": "5"},
+}
+OPTION_VALUES = {
+    "capacity": {
+        "channel": ("CHANNEL", None), "lambdas": ("0.36,0.81", "0.5,x"),
+        "lambdas_rule": ("0.2+0.7*k/N", "(k"), "N": ("3", "0"),
+        "n": ("0.3", "inf"), "xi": ("0.1", "x"), "power": ("5", "-1"),
+        "method": ("het", "bogus"), "alloc": ("uniform", "bogus"),
+        "output": ("OUT", None)},
+    "sweep-modes": {
+        "N_range": ("1..3", "3..1"), "lambdas_rule": ("0.9", "(k"),
+        "power": ("5", "nan"), "methods": ("holevo,het", "holevo,bogus"),
+        "allocs": ("uniform,waterfill", "bogus"), "n": ("0.3", "x"),
+        "xi": ("0.1", "x"), "output": ("OUT", None)},
+    "random": {
+        "N": ("1..2", "0..2"), "K": ("1", "(k"), "M": ("2*N", "(k"),
+        "sigma2": ("0.05", "nan"), "mode": ("analytic", "bogus"),
+        "samples": ("16", "2.5"), "seed": ("7", "1.5"), "power": ("5", "x"),
+        "method": ("het", "classical"), "n": ("0.3", "x"), "xi": ("0.1", "x"),
+        "threads": ("2", "1.5"), "allow_rect_active": (True, None),
+        "dump_samples": ("DUMP", None), "output": ("OUT", None)},
+    "density": {
+        "N": ("3", "2.5"), "K": ("2", "0"), "M": ("3", "x"),
+        "grid": ("7", "3.7"), "output": ("OUT", None)},
+}
+
+
+def _subparsers():
+    """{name: subparser} of the command-line parser."""
+    (subparsers,) = [action for action in cli.build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
+def _options(command):
+    """{dest: flag} of a subcommand's options, --config and -h aside."""
+    return {action.dest: action.option_strings[0]
+            for action in _subparsers()[command]._actions
+            if action.option_strings and action.dest not in ("help", "config")}
+
+
+def test_every_option_has_a_checked_value():
+    assert set(_subparsers()) == set(BASES)
+    for command in BASES:
+        assert set(_options(command)) == set(OPTION_VALUES[command])
+
+
+def _command(command, options, tmp_path, where):
+    """(argv, config) with `options` as flags except those in `where`."""
+    argv, cfg = [command], {}
+    for dest, value in options.items():
+        if value in ("OUT", "DUMP", "CHANNEL"):
+            value = str(tmp_path / value)
+        if dest in where:
+            cfg[dest] = value
+        elif value is True:
+            argv.append(_options(command)[dest])
+        else:
+            argv += [_options(command)[dest], value]
+    return argv, cfg
+
+
+@pytest.mark.parametrize("command,dest", [
+    (command, dest) for command in sorted(BASES)
+    for dest in sorted(OPTION_VALUES[command])])
+def test_config_value_acts_like_the_flag(capsys, tmp_path, command, dest):
+    good, bad = OPTION_VALUES[command][dest]
+    write_channel(tmp_path / "CHANNEL",
+                  block_form_channel(np.diag([0.9, 0.6])))
+    results = []
+    for where in ((), (dest,)):
+        options = dict(BASES[command], **{dest: good})
+        if command == "random" and dest == "threads":
+            options.update(sigma2="0.05")   # threads serve active MC only
+        if command == "random" and dest == "allow_rect_active":
+            options.update(sigma2="0.05", K="3", M="3")
+        argv, cfg = _command(command, options, tmp_path, where)
+        code, out, _ = run_config(capsys, tmp_path, argv, cfg)
+        files = {}
+        for name in ("OUT", "DUMP"):
+            if (tmp_path / name).exists():
+                files[name] = (tmp_path / name).read_text()
+                (tmp_path / name).unlink()
+        results.append((code, out, files))
+    assert results[0] == results[1] and results[0][0] == EXIT_OK
+    if bad is not None:
+        flag = _options(command)[dest]
+        for where in ((), (dest,)):
+            options = dict(BASES[command], **{dest: bad})
+            code, out, err = run_config(
+                capsys, tmp_path, *_command(command, options, tmp_path, where))
+            assert (code, out) == (EXIT_INPUT, "") and flag in err
+
+
+JSON_VALUES = [0, 1, 2.5, -1, 1e300, "", "x", "1..2", True, False, [1],
+               {"a": 1}, None]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(BASES))
+def test_no_json_value_ends_in_a_traceback(capsys, tmp_path, monkeypatch,
+                                           command):
+    monkeypatch.chdir(tmp_path)
+    argv = _command(command, BASES[command], tmp_path, ())[0]
+    for dest in sorted(_options(command)) + ["config"]:
+        for value in JSON_VALUES:
+            code, _, _ = run_config(capsys, tmp_path, argv, {dest: value})
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_UNPHYSICAL,
+                            EXIT_ENSEMBLE, EXIT_USAGE), (dest, value)
 
 
 class TestEvalRule:
