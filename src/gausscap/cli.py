@@ -20,6 +20,7 @@ import ast
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -61,6 +62,12 @@ _UNPHYSICAL_ERRORS = (UnphysicalOutput, NegativeEntropyArgument,
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token of '-' and a digit, '.' or '(' is a value, not an option:
+        # '--lambdas-rule -0.1+k/N', '--power -1e-3'.  No option is so spelled.
+        self._negative_number_matcher = re.compile(r"^-[\d.(]")
+
     # argparse exits 2 on usage problems; the contract here is 64.
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -453,7 +460,7 @@ def build_parser():
     p_rand.add_argument("--seed", type=_integer, help="base seed (mc only)")
     p_rand.add_argument("--method", choices=["holevo", "het", "hom"],
                         default="holevo")
-    p_rand.add_argument("--threads", type=_integer,
+    p_rand.add_argument("--threads", type=_count,
                         help="worker cap for active (sigma2 > 0) MC, "
                              "GAUSSCAP_THREADS as fallback; passive MC runs "
                              "batched in the calling thread")
@@ -468,7 +475,7 @@ def build_parser():
         "Analytic transmission-eigenvalue density, as CSV"))
     for flag in ("--N", "--K", "--M"):
         p_dens.add_argument(flag, type=_count, required=True)
-    p_dens.add_argument("--grid", type=_integer, default=1001,
+    p_dens.add_argument("--grid", type=_count, default=1001,
                         help="grid points on [0, 1]")
     p_dens.set_defaults(func=cmd_density)
 

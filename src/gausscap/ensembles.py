@@ -5,14 +5,19 @@ A_1 gives a random passive channel H_s = R(A_1).  The eigenvalues of
 A_1 A_1^dag follow a Jacobi ensemble whose one-point marginal has the closed
 form
 
-    p(lambda) = lambda^a (1-lambda)^b / m * sum_{k=0}^{m-1} P_k^{(a,b)}(1-2 lambda)^2 / h_k
+    p(lambda) = w(lambda) / m * sum_{k=0}^{m-1} p_k(lambda)^2,
+    w(lambda) = lambda^a (1-lambda)^b,
 
-with m = min(K, N), a = max(K, N) - min(K, N) and b = N + M - K - N (= M - K),
-valid when b >= 0.  Expected capacities under uniform power allocation follow
-by integrating the single-mode capacity against p(lambda).  Monte Carlo
-estimates of the same quantity draw the transmissions straight from stacked
-Haar corners, one counter-based RNG stream per sample, so results are
-bit-identical for a given seed however the samples are batched.
+with p_k the polynomials orthonormal under w on [0, 1], m = min(K, N),
+a = max(K, N) - min(K, N) and b = N + M - K - N (= M - K), valid when b >= 0.
+The terms sqrt(w) p_k come from the three-term recurrence of the orthonormal
+Jacobi polynomials in x = 1 - 2 lambda, started at sqrt(w / B(a+1, b+1)), so
+they stay of order sqrt(m p) where the polynomials and their norms alone
+would overflow or underflow.  Expected capacities under uniform power
+allocation follow by integrating the single-mode capacity against p(lambda).
+Monte Carlo estimates of the same quantity draw the transmissions straight
+from stacked Haar corners, one counter-based RNG stream per sample, so
+results are bit-identical for a given seed however the samples are batched.
 """
 
 import math
@@ -24,10 +29,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import _jacobi_terms, jacobi_sq_series
 from .capacity import mode_rates, noise_photons
 from .channels import NoiseParams, block_form_channel
-from .errors import InsufficientEnvironment, UnphysicalOutput
+from .errors import InsufficientEnvironment
 from .phasespace import real_representation
 
 __all__ = [
@@ -35,8 +39,6 @@ __all__ = [
     "JacobiDensity",
     "haar_unitary",
     "passive_channel_sample",
-    "jacobi_polynomial",
-    "jacobi_norm_h",
     "spectral_density",
     "expected_capacity_passive",
     "mc_expected_capacity_passive",
@@ -114,28 +116,26 @@ def passive_channel_sample(spec, rng):
     return block_form_channel(u[: spec.K, : spec.N], spec.noise)
 
 
-def jacobi_polynomial(k, a, b, x):
-    """Jacobi polynomial P_k^{(a,b)}(x) by the three-term recurrence."""
-    if k < 0:
-        raise ValueError("polynomial degree must be >= 0")
-    for p in _jacobi_terms(x, a, b, k + 1):
-        pass
-    return p
+def _jacobi_recurrence(a, b, m):
+    """(alpha, beta) of the orthonormal Jacobi recurrence in x = 1 - 2 lambda.
 
-
-def jacobi_norm_h(k, a, b):
-    """Normalization h_k^{(a,b)} = (k+a)!(k+b)! / [(2k+a+b+1)(k+a+b)!k!].
-
-    Evaluated in log space (lgamma) so large degrees do not overflow.
+    The polynomials p_k orthonormal under (1-x)^a (1+x)^b on [-1, 1] satisfy
+    x p_k = beta[k+1] p_{k+1} + alpha[k] p_k + beta[k] p_{k-1} for k < m - 1,
+    with beta[0] = 0.  alpha and beta are the diagonal and off-diagonal of
+    the Jacobi matrix: alpha_k and sqrt(beta_k) of the monic Jacobi
+    recurrence (Gautschi, Orthogonal Polynomials: Computation and
+    Approximation, 2004).
     """
-    log_h = (
-        math.lgamma(k + a + 1)
-        + math.lgamma(k + b + 1)
-        - math.lgamma(k + a + b + 1)
-        - math.lgamma(k + 1)
-        - math.log(2 * k + a + b + 1)
-    )
-    return math.exp(log_h)
+    k = np.arange(m, dtype=float)
+    s = 2.0 * k + a + b
+    # alpha_0 = (b - a) / (a + b + 2); the max() only matters at a = b = 0,
+    # where the numerator is 0 too
+    alpha = (b - a) * (b + a) / np.maximum(s * (s + 2.0), 1.0)
+    k, s = k[1:], s[1:]
+    beta = np.zeros(m)
+    beta[1:] = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + a + b)
+                       / (s * s * (s + 1.0) * (s - 1.0)))
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -145,13 +145,30 @@ class JacobiDensity:
     a: int
     b: int
     terms: int
-    inv_h: np.ndarray
+    alpha: np.ndarray
+    beta: np.ndarray
 
     def pdf(self, lam):
         lam = np.atleast_1d(np.asarray(lam, dtype=float))
-        series = jacobi_sq_series(1.0 - 2.0 * lam, float(self.a), float(self.b),
-                                  self.inv_h)
-        return np.power(lam, self.a) * np.power(1.0 - lam, self.b) * series / self.terms
+        a, b = self.a, self.b
+        log_mu0 = (math.lgamma(a + 1) + math.lgamma(b + 1)
+                   - math.lgamma(a + b + 2))
+        # log w, with lambda^0 = 1 also at lambda = 0 (no 0 * -inf)
+        log_w = np.zeros_like(lam)
+        with np.errstate(divide="ignore"):
+            if a:
+                log_w += a * np.log(lam)
+            if b:
+                log_w += b * np.log1p(-lam)
+        # r_k = sqrt(w) p_k from r_0 = sqrt(w / mu_0), mu_0 the mass of w
+        r_prev, r = np.zeros_like(lam), np.exp(0.5 * (log_w - log_mu0))
+        acc = r * r
+        x = 1.0 - 2.0 * lam
+        alpha, beta = self.alpha, self.beta
+        for k in range(self.terms - 1):
+            r_prev, r = r, ((x - alpha[k]) * r - beta[k] * r_prev) / beta[k + 1]
+            acc += r * r
+        return acc / self.terms
 
 
 def spectral_density(spec):
@@ -162,9 +179,6 @@ def spectral_density(spec):
     InsufficientEnvironment
         If b = N + M - K - N < 0, i.e. M < K: the truncated-unitary law
         needs at least as many environment as receiver modes.
-    UnphysicalOutput
-        If a normalization 1 / h_k is not a finite double, which happens
-        when h_k underflows at large a + b.
     """
     m = min(spec.K, spec.N)
     a = max(spec.K, spec.N) - m
@@ -174,13 +188,8 @@ def spectral_density(spec):
             "spectral density requires b = N+M-min-max >= 0 (M >= K); "
             "got N=%d K=%d M=%d" % (spec.N, spec.K, spec.M)
         )
-    norms = [jacobi_norm_h(k, a, b) for k in range(m)]
-    if min(norms) == 0.0 or math.isinf(1.0 / min(norms)):
-        raise UnphysicalOutput(
-            "Jacobi normalization h_k underflows double precision for "
-            "N=%d K=%d M=%d" % (spec.N, spec.K, spec.M))
-    inv_h = np.array([1.0 / h for h in norms])
-    return JacobiDensity(a=a, b=b, terms=m, inv_h=inv_h)
+    alpha, beta = _jacobi_recurrence(a, b, m)
+    return JacobiDensity(a=a, b=b, terms=m, alpha=alpha, beta=beta)
 
 
 @lru_cache(maxsize=None)

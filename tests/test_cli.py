@@ -499,28 +499,53 @@ class TestDensity:
         # a = b = 1 here, so the law is symmetric about 1/2
         assert np.allclose(rows[:, 1], rows[::-1, 1], atol=1e-9)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_non_finite_result_is_unphysical(self, capsys):
-        # the Jacobi series overflows at lambda = 0 and 1 for these sizes
-        code, out = run(capsys, "density", "--N", "200", "--K", "200", "--M",
-                        "600", "--grid", "21")
-        assert code == EXIT_UNPHYSICAL and out == ""
+    def test_large_series_agrees_with_mpmath(self, capsys, jacobi_oracle):
+        # an unnormalized Jacobi series overflows at lambda = 0 and 1 here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "density", "--N", "200", "--K", "200",
+                            "--M", "600", "--grid", "21")
+        assert code == EXIT_OK
+        printed = [float(line.split(",")[1]) for line in out.split("\n")[1:-1]]
+        assert printed[0] == 600 and printed[-1] == 0
+        for lam, p in zip(np.linspace(0.0, 1.0, 21), printed):
+            exact = jacobi_oracle.density(0, 400, 200, lam)
+            jacobi_oracle.assert_agrees(p, exact, lam)
 
     def test_environment_too_small(self, capsys):
         code, _ = run(capsys, "density", "--N", "1", "--K", "2", "--M", "1")
         assert code == EXIT_ENSEMBLE
 
-    @pytest.mark.parametrize("argv", [
-        ["density", "--N", "600", "--K", "10", "--M", "600"],
-        ["random", "--mode", "analytic", "--N", "600", "--K", "10", "--M",
-         "600", "--power", "5"],
-    ])
-    def test_underflowing_jacobi_norm_is_unphysical(self, capsys, argv):
-        # h_0 = exp(log h_0) underflows to 0.0 at a = b = 590
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == EXIT_UNPHYSICAL and captured.out == ""
-        assert "N=600 K=10 M=600" in captured.err
+    def test_tiny_jacobi_norms_agree_with_mpmath(self, capsys, jacobi_oracle):
+        # h_0 of an unnormalized series underflows to 0.0 at a = b = 590
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "density", "--N", "600", "--K", "10",
+                            "--M", "600")
+        assert code == EXIT_OK
+        printed = [float(line.split(",")[1]) for line in out.split("\n")[1:-1]]
+        for lam, p in zip(np.linspace(0.0, 1.0, 1001), printed, strict=True):
+            exact = jacobi_oracle.density(590, 590, 10, lam)
+            jacobi_oracle.assert_agrees(p, exact, lam)
+
+    def test_tiny_jacobi_norms_analytic_mean(self, capsys, jacobi_oracle):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run(capsys, "random", "--mode", "analytic", "--N",
+                            "600", "--K", "10", "--M", "600", "--power", "5")
+        assert code == EXIT_OK
+        bits = out.split("\n")[1].split(",")[6]
+        mp = jacobi_oracle.mp
+
+        def integrand(lam):
+            # g(x) in bits at x = lambda P / N, times the density
+            x = lam * mp.mpf(5) / 600
+            g = (x + 1) * mp.log(x + 1) - (x * mp.log(x) if x else 0)
+            return g / mp.log(2) * jacobi_oracle.density(590, 590, 10, lam)
+
+        with mp.workdps(30):
+            exact = 10 * mp.quad(integrand, [0, 0.4, 0.5, 0.6, 1])
+        jacobi_oracle.assert_agrees(float(bits), exact)
 
 
 class TestPlumbing:
@@ -603,6 +628,42 @@ class TestPlumbing:
     def test_missing_power_is_usage_error(self, capsys):
         code, _ = run(capsys, "capacity", "--lambdas", "1.0")
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv,flag,value", [
+        (["capacity", "--N", "4", "--power", "5"],
+         "--lambdas-rule", "-0.1+k/N"),
+        (["sweep-modes", "--N-range", "1..5", "--power", "3.5"],
+         "--lambdas-rule", "-0.1+k/N"),
+        (["random", "--N", "2..3", "--power", "5"], "--K", "-1+N"),
+        (["random", "--N", "2..3", "--power", "5"], "--K", "-(1-N)"),
+    ])
+    def test_value_with_a_leading_minus_follows_its_flag(self, capsys, argv,
+                                                          flag, value):
+        code, spaced = run(capsys, *argv, flag, value)
+        assert code == EXIT_OK
+        assert (code, spaced) == run(capsys, *argv, flag + "=" + value)
+
+    def test_negative_scientific_power_is_input_error(self, capsys):
+        code, out, err = run_err(capsys, "capacity", "--lambdas", "0.5",
+                                 "--power", "-1e-3")
+        assert code == EXIT_INPUT and out == "" and "--power" in err
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["density", "--N", "1", "--K", "1", "--M", "1", "--grid", "0"],
+         "--grid"),
+        (["density", "--N", "1", "--K", "1", "--M", "1", "--grid", "-1"],
+         "--grid"),
+        (["random", "--N", "2", "--mode", "mc", "--seed", "1", "--samples",
+          "4", "--power", "3", "--sigma2", "0.05", "--threads", "0"],
+         "--threads"),
+        (["random", "--N", "2", "--mode", "mc", "--seed", "1", "--samples",
+          "4", "--power", "3", "--sigma2", "0.05", "--threads", "-3"],
+         "--threads"),
+    ], ids=["grid=0", "grid=-1", "threads=0", "threads=-3"])
+    def test_count_below_one_is_input_error(self, capsys, argv, flag):
+        code, out, err = run_err(capsys, *argv)
+        assert code == EXIT_INPUT and out == ""
+        assert "%s must be an integer >= 1" % flag in err
 
 
 def run_config(capsys, tmp_path, argv, cfg):

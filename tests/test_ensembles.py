@@ -10,15 +10,12 @@ import numpy as np
 import pytest
 
 from gausscap import ensembles
-from gausscap._kernels import jacobi_sq_series
 from gausscap.capacity import mode_rates, noise_photons
 from gausscap.channels import NoiseParams
 from gausscap.ensembles import (
     EnsembleSpec,
     expected_capacity_passive,
     haar_unitary,
-    jacobi_norm_h,
-    jacobi_polynomial,
     mc_expected_capacity_passive,
     passive_channel_sample,
     passive_transmissions,
@@ -59,44 +56,39 @@ class TestHaar:
         assert np.mean(vals) == pytest.approx(1.0 / 3.0, abs=0.02)
 
 
+def jacobi_density(a, b, m):
+    """The density of exponents a, b and m terms: (m, m+a, m+a+b) modes."""
+    return spectral_density(spec_for(m, m + a, m + a + b))
+
+
 class TestJacobi:
+    """The orthonormal recurrence of the density against closed forms."""
+
     def test_low_orders(self):
-        assert jacobi_polynomial(0, 2, 5, 0.3) == 1.0
-        # P_1^{(a,b)}(x) = (a+1) + (a+b+2)(x-1)/2
-        for a, b, x in [(0, 0, 0.4), (1, 0, -0.7), (2, 3, 0.1)]:
-            expected = (a + 1) + (a + b + 2) * (x - 1) / 2
-            assert jacobi_polynomial(1, a, b, x) == pytest.approx(
-                expected, abs=1e-12)
+        # m = 1: w / B(a+1, b+1); m = 2 adds w P_1(x)^2 / h_1, with
+        # P_1 = (a+1) + (a+b+2)(x-1)/2 and h_1 = (a+1)!(b+1)!/((a+b+3)(a+b+1)!)
+        lam = np.linspace(0.05, 0.95, 7)
+        for a, b in [(0, 0), (1, 0), (0, 3), (2, 5), (7, 1)]:
+            w = lam ** a * (1.0 - lam) ** b
+            h0 = math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+            h1 = (math.gamma(a + 2) * math.gamma(b + 2)
+                  / ((a + b + 3) * math.gamma(a + b + 2)))
+            p1 = (a + 1) - (a + b + 2) * lam
+            np.testing.assert_allclose(jacobi_density(a, b, 1).pdf(lam),
+                                       w / h0, rtol=1e-13)
+            np.testing.assert_allclose(jacobi_density(a, b, 2).pdf(lam),
+                                       w * (1 / h0 + p1 ** 2 / h1) / 2,
+                                       rtol=1e-13)
 
     def test_frozen_values(self):
-        # explicit binomial-sum evaluations
-        assert jacobi_polynomial(2, 1, 0, 0.3) == pytest.approx(0.025,
-                                                                abs=1e-12)
-        assert jacobi_polynomial(1, 0, 1, -0.2) == pytest.approx(-0.8,
-                                                                 abs=1e-12)
-        assert jacobi_polynomial(3, 2, 1, 0.5) == pytest.approx(-0.0625,
-                                                                abs=1e-12)
-
-    def test_reflection_symmetry(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(0, 6))
-            a = int(rng.integers(0, 4))
-            b = int(rng.integers(0, 4))
-            x = float(rng.uniform(-1, 1))
-            lhs = jacobi_polynomial(n, a, b, -x)
-            rhs = (-1) ** n * jacobi_polynomial(n, b, a, x)
-            assert lhs == pytest.approx(rhs, abs=1e-10)
-
-    @pytest.mark.parametrize("a,b,terms", [(0.0, 0.0, 1), (1.0, 0.0, 2),
-                                           (2.0, 3.0, 5), (0.0, 4.0, 7)])
-    def test_squared_series_is_the_same_recurrence(self, a, b, terms):
-        inv_h = np.array([1.0 / jacobi_norm_h(k, a, b) for k in range(terms)])
-        x = np.linspace(-1.0, 1.0, 9)
-        got = jacobi_sq_series(x, a, b, inv_h)
-        for xj, gj in zip(x, got):
-            ps = [jacobi_polynomial(k, a, b, float(xj)) for k in range(terms)]
-            assert gj == sum(h * p * p for h, p in zip(inv_h, ps))
+        # Legendre (a = b = 0): p = sum_k (2k+1) P_k(1 - 2 lambda)^2 / m
+        assert jacobi_density(0, 0, 2).pdf([0.0, 0.25, 0.5]) == pytest.approx(
+            [2.0, 0.875, 0.5], abs=1e-14)
+        assert jacobi_density(0, 0, 3).pdf([0.0, 0.5, 1.0]) == pytest.approx(
+            [3.0, 0.75, 3.0], abs=1e-14)
+        # a = 0, b = 1, m = 1: 2 (1 - lambda)
+        assert jacobi_density(0, 1, 1).pdf([0.25, 1.0]) == pytest.approx(
+            [1.5, 0.0], abs=1e-15)
 
     @pytest.mark.parametrize("k,a,b,expected", [
         (0, 0, 0, 1.0),
@@ -106,8 +98,27 @@ class TestJacobi:
         (2, 1, 2, 0.075),
     ])
     def test_norms(self, k, a, b, expected):
-        # integral_0^1 lam^a (1-lam)^b P_k(1-2 lam)^2 d lam
-        assert jacobi_norm_h(k, a, b) == pytest.approx(expected, rel=1e-12)
+        # h_k = integral_0^1 lam^a (1-lam)^b P_k(1-2 lam)^2 d lam is
+        # kappa_k^2 B(a+1, b+1) prod_{j<=k} beta_j^2, with kappa_k the leading
+        # coefficient of P_k^{(a,b)}(x) and beta_j the recurrence off-diagonal
+        _, beta = ensembles._jacobi_recurrence(a, b, k + 1)
+        kappa = math.gamma(2 * k + a + b + 1) / (
+            2 ** k * math.factorial(k) * math.gamma(k + a + b + 1))
+        mu0 = math.gamma(a + 1) * math.gamma(b + 1) / math.gamma(a + b + 2)
+        h = kappa ** 2 * mu0 * float(np.prod(beta[1:] ** 2))
+        assert h == pytest.approx(expected, rel=1e-12)
+
+    def test_reflection_symmetry(self):
+        # p_{a,b}(lambda) = p_{b,a}(1 - lambda)
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            m = int(rng.integers(1, 7))
+            a = int(rng.integers(0, 5))
+            b = int(rng.integers(0, 5))
+            lam = rng.uniform(0, 1, 5)
+            np.testing.assert_allclose(jacobi_density(a, b, m).pdf(lam),
+                                       jacobi_density(b, a, m).pdf(1.0 - lam),
+                                       rtol=1e-12)
 
 
 class TestSpectralDensity:

@@ -1,14 +1,17 @@
-"""Property tests of the closed-form capacities, run through sweep-modes.
+"""Property tests of the closed-form capacities and the ensemble density.
 
-The paper's mode-number claim: at a fixed power budget P, N identical modes
-carry a capacity that does not fall as N grows.  Beside it, Holevo is at
-least the heterodyne and the homodyne rate, and water-filling is at least
-the uniform split.  Examples come from hypothesis with derandomize=True, so
-every run draws the same ones.
+The capacities run through sweep-modes.  The paper's mode-number claim: at a
+fixed power budget P, N identical modes carry a capacity that does not fall
+as N grows.  Beside it, Holevo is at least the heterodyne and the homodyne
+rate, water-filling is at least the uniform split, and every capacity does
+not fall when P grows and does not rise when the thermal photons n or the
+additive noise xi grow.  Examples come from hypothesis with
+derandomize=True, so every run draws the same ones.
 
 The grid, stated up front: lambda in [1e-4, 1], n in [0, 1], xi in
-[0, 0.5], P in [1e-3, 1e3] and N = 1..24; the second test spreads its N
-modes over (lambda/2, lambda].  A known defect, not the properties, sets
+[0, 0.5], P in [1e-3, 1e3] and N = 1..24; every capacity test but the first
+spreads its N modes over (lambda/2, lambda], and a larger P, n or xi stays
+on the grid.  A known defect, not the properties, sets
 the lower end of lambda: the heterodyne and homodyne water-fill
 computes each power as mu - f_k with floors f_k = O(1/lambda), and below
 lambda ~ 1e-5 (floors ~ 1e5 photons) its rounding overshoots the budget,
@@ -25,14 +28,21 @@ noise-free lambda = 1 mode at P/N >= 1e-3/24 photons, log2(1 + N/P) + 1/ln2
 significant digits moves a value by at most 5e-13 of itself, under 1e-10
 bits for the at most 170 bits here.  The float rounding of the sums is far
 below both.
+
+The density of the passive ensemble (N, K, M), for N, K <= 300 and
+K <= M <= K + 300, is finite and nonnegative on [0, 1] and has mass 1 to
+1e-9.  Its integrand is a polynomial of degree N + M - 2 <= 898, so
+order-450 Gauss-Legendre quadrature integrates it exactly up to rounding.
 """
 
 import contextlib
 import io
 
+import numpy as np
 import pytest
 
 from gausscap.cli import main
+from gausscap.ensembles import EnsembleSpec, spectral_density
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -96,3 +106,43 @@ def test_holevo_bounds_the_measured_rates_and_waterfill_the_uniform(lam, n,
         for method in METHODS:
             assert (rows[(N, method, "waterfill")]
                     >= rows[(N, method, "uniform")] - tol(P)), (N, method)
+
+
+@PROPERTY
+@given(lam=lams, n=thermal, xi=additive, P=powers,
+       more=st.floats(min_value=1.0, max_value=10.0))
+def test_capacity_does_not_fall_with_the_power(lam, n, xi, P, more):
+    # a larger budget P2 = more * P, capped at the top of the grid
+    P2 = min(more * P, 1e3)
+    rule = "%r*(N+k)/(2*N)" % lam
+    lower, upper = sweep(rule, n, xi, P), sweep(rule, n, xi, P2)
+    for key, bits in lower.items():
+        assert upper[key] >= bits - tol(P2), key
+
+
+@PROPERTY
+@given(lam=lams, n=thermal, xi=additive, P=powers,
+       dn=st.floats(min_value=0.0, max_value=1.0),
+       dxi=st.floats(min_value=0.0, max_value=0.5))
+def test_capacity_does_not_rise_with_the_noise(lam, n, xi, P, dn, dxi):
+    # more thermal photons (n + dn <= 1) and more additive noise
+    # (xi + dxi <= 0.5), each with the other held
+    rule = "%r*(N+k)/(2*N)" % lam
+    base = sweep(rule, n, xi, P)
+    for noisier in (sweep(rule, min(n + dn, 1.0), xi, P),
+                    sweep(rule, n, min(xi + dxi, 0.5), P)):
+        for key, bits in base.items():
+            assert noisier[key] <= bits + tol(P), key
+
+
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(450)
+
+
+@PROPERTY
+@given(N=st.integers(1, 300), K=st.integers(1, 300), extra=st.integers(0, 300))
+def test_density_is_a_probability_density(N, K, extra):
+    density = spectral_density(EnsembleSpec(N=N, K=K, M=K + extra))
+    lam = 0.5 * (_NODES + 1.0)
+    pdf = density.pdf(np.concatenate([lam, [0.0, 1.0]]))
+    assert np.isfinite(pdf).all() and (pdf >= 0).all()
+    assert 0.5 * np.dot(_WEIGHTS, pdf[:-2]) == pytest.approx(1.0, abs=1e-9)
