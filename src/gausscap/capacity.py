@@ -2,7 +2,8 @@
 
 Holevo information with quantum water-filling, heterodyne/homodyne capacities
 (per-mode and general multivariate), asymptotic limits, and the classical
-Shannon water-filling baseline.  All results are in bits.
+Shannon baseline.  All results are in bits.  Over parallel modes,
+diagonal_capacity water-fills het, hom and classical as one problem.
 
 `params` arguments are sequences of per-singular-mode triples
 (lambda_k, n, xi) as produced by decomposition.diagonal_channel_params; the
@@ -146,36 +147,60 @@ def _checked_noise(params):
     return modes.lams, modes.noise()
 
 
-def mode_rates(lams, P, Nk, method):
+def _rate_noise(modes, method):
+    """method's noise argument of mode_rates: the N_k of `modes`, or for
+    classical the additive noise xi of its first mode (no N_k computed)."""
+    if method != "classical":
+        return modes.noise()
+    xi = np.ravel(modes.xis)[0]
+    if xi <= 0:
+        raise ZeroNoiseClassical("classical capacity requires xi > 0")
+    return xi
+
+
+def _shannon_form(noise, method):
+    """(s, d_k) of the rate s log2(1 + lambda_k P_k / d_k) of het, hom or
+    classical, from the noise photons N_k (het, hom) or xi (classical)."""
+    if method == "het":
+        return 1.0, noise + 1.0
+    if method == "hom":
+        return 0.5, (noise + 0.5) / 2.0
+    if method == "classical":
+        return 1.0, noise
+    raise ValueError("method must be 'holevo', 'het', 'hom' or 'classical'")
+
+
+def mode_rates(lams, P, noise, method):
     """Per-mode rates in bits of single-mode channels, elementwise.
 
-    With signal photons ns_k = lambda_k P_k and noise photons N_k:
+    With signal photons ns_k = lambda_k P_k, and `noise` the noise photons
+    N_k (the additive noise xi for classical):
 
-        holevo: g(ns_k + N_k) - g(N_k)
-        het:    log2(1 + ns_k / (N_k + 1))
-        hom:    (1/2) log2(1 + 2 ns_k / (N_k + 1/2))
+        holevo:    g(ns_k + N_k) - g(N_k)
+        het:       log2(1 + ns_k / (N_k + 1))
+        hom:       (1/2) log2(1 + ns_k / ((N_k + 1/2) / 2))
+        classical: log2(1 + ns_k / xi)
 
     (homodyne assumes the modulation power is concentrated in the measured
     quadrature).
     """
     ns = lams * P
     if method == "holevo":
-        x_out = ns + Nk
+        x_out = ns + noise
         if x_out.size and x_out.min() < -1e-12:
             raise NegativeEntropyArgument("modulated output photon number < 0")
-        return entropy_g_arr(x_out) - entropy_g_arr(Nk)
-    if method == "het":
-        return np.log2(1.0 + ns / (Nk + 1.0))
-    if method == "hom":
-        return 0.5 * np.log2(1.0 + 2.0 * ns / (Nk + 0.5))
-    raise ValueError("method must be 'holevo', 'het' or 'hom'")
+        return entropy_g_arr(x_out) - entropy_g_arr(noise)
+    s, d = _shannon_form(noise, method)
+    return s * np.log2(1.0 + ns / d)
 
 
 def _diagonal_bits(params, alloc, method):
-    lams, Nk = _checked_noise(params)
-    if alloc.per_mode.shape != lams.shape:
+    modes = _modes(params)
+    if alloc.per_mode.shape != modes.lams.shape:
         raise ValueError("allocation length must match the number of modes")
-    return float(np.add.reduce(mode_rates(lams, alloc.per_mode, Nk, method)))
+    noise = _rate_noise(modes, method)
+    return float(np.add.reduce(mode_rates(modes.lams, alloc.per_mode, noise,
+                                          method)))
 
 
 def holevo_diagonal(params, alloc):
@@ -323,29 +348,10 @@ def _waterfill_floors(floors, P):
 
 
 def waterfill_het_hom(params, P, kind):
-    """Water-filled heterodyne/homodyne capacity.
-
-    Both objectives are classical water-filling problems over per-mode noise
-    floors: maximizing sum log2(1 + P_k/f_k) (times 1/2 for homodyne, which
-    rescales the objective but not the argmax) gives P_k = {mu - f_k}+ with
-
-        het: f_k = (N_k + 1) / lambda_k
-        hom: f_k = (N_k + 1/2) / (2 lambda_k)
-    """
+    """Water-filled heterodyne (`kind` het) or homodyne (hom) capacity."""
     if kind not in _METHOD_NAMES:
         raise ValueError("kind must be 'het' or 'hom'")
-    if P < 0:
-        raise NoFeasibleWaterlevel("power budget must be nonnegative")
-    lams, Nk = _checked_noise(params)
-    with np.errstate(divide="ignore"):
-        if kind == "het":
-            floors = np.where(lams > 0, (Nk + 1.0) / lams, np.inf)
-        else:
-            floors = np.where(lams > 0, (Nk + 0.5) / (2.0 * lams), np.inf)
-    per_mode, mu = _waterfill_floors(floors, float(P))
-    alloc = PowerAllocation(per_mode, float(P))
-    bits = float(np.add.reduce(mode_rates(lams, per_mode, Nk, kind)))
-    return CapacityResult(bits, _METHOD_NAMES[kind], alloc, mu)
+    return diagonal_capacity(params, P, kind, "waterfill", None)
 
 
 def _check_nonsingular(noise):
@@ -419,54 +425,51 @@ def asymptotic_limits(P, kind):
 
 
 def classical_capacity(lambdas, xi, P):
-    """Classical Shannon capacity of parallel channels with additive noise xi.
-
-    Water-filling with floors xi/lambda_k:
-    C = sum_k {log2(mu lambda_k / xi)}+ at the budget P = sum_k {mu - xi/lambda_k}+.
-    """
-    if xi <= 0:
-        raise ZeroNoiseClassical("classical capacity diverges at xi <= 0")
-    if P < 0:
-        raise NoFeasibleWaterlevel("power budget must be nonnegative")
-    lams = np.asarray(lambdas, dtype=float)
-    with np.errstate(divide="ignore"):
-        floors = np.where(lams > 0, xi / lams, np.inf)
-    per_mode, mu = _waterfill_floors(floors, float(P))
-    with np.errstate(invalid="ignore"):
-        rates = np.log2(1.0 + np.where(per_mode > 0, per_mode / floors, 0.0))
-    bits = float(np.sum(rates))
-    return CapacityResult(bits, "classical", PowerAllocation(per_mode, float(P)), mu)
+    """Water-filled classical Shannon capacity of parallel channels with
+    additive noise xi."""
+    return diagonal_capacity(
+        _Modes(np.asarray(lambdas, dtype=float), 0.0, xi), P, "classical",
+        "waterfill", None)
 
 
 def diagonal_capacity(params, P, method, alloc, n_signal):
     """Capacity of parallel single-mode channels under the power budget P.
 
     `params` are (lambda_k, n, xi) triples, or a _Modes built from them
-    once for several calls.  `method` is holevo, het, hom or
-    classical; the classical Shannon capacity uses the additive noise xi of
-    the first triple, log2(1 + lambda_k P_k / xi) per mode.  `alloc` is
-    "uniform", P/N photons on each of the first N = `n_signal` modes, or
-    "waterfill", the optimal split, whose water level is returned.
+    once for several calls.  `method` is holevo, het, hom or classical (the
+    Shannon capacity with the additive noise xi of the first mode); the
+    per-mode rates are those of mode_rates.  `alloc` is "uniform", P/N
+    photons on each of the first N = `n_signal` modes, or "waterfill", the
+    optimal split, whose water level is returned.
+
+    Holevo water-fills quantum mechanically (waterfill_holevo).  The other
+    three rates are s log2(1 + lambda_k P_k / d_k); s only rescales the
+    objective, so their optimal split is the classical water-fill
+    P_k = {mu - f_k}+ over the floors f_k = d_k / lambda_k:
+
+        het:       f_k = (N_k + 1) / lambda_k
+        hom:       f_k = ((N_k + 1/2) / 2) / lambda_k
+        classical: f_k = xi / lambda_k
+
+    A mode with lambda_k = 0 has an infinite floor and gets no power.
     """
     modes = _modes(params)
-    lams = modes.lams
-    if method == "classical":
-        xi = np.ravel(modes.xis)[0]
-        if xi <= 0:
-            raise ZeroNoiseClassical("classical capacity requires xi > 0")
-        if alloc == "waterfill":
-            return classical_capacity(lams, xi, P)
-        uniform = uniform_allocation(lams.size, P, n_signal)
-        with np.errstate(divide="ignore"):
-            rates = np.log2(1.0 + lams * uniform.per_mode / xi)
-        return CapacityResult(float(np.sum(rates)), "classical", uniform)
-    if alloc == "uniform":
-        uniform = uniform_allocation(lams.size, P, n_signal)
-        bits = _diagonal_bits(modes, uniform, method)
-        return CapacityResult(bits, _METHOD_NAMES.get(method, method), uniform)
-    if method == "holevo":
+    if method == "holevo" and alloc != "uniform":
         return waterfill_holevo(modes, P)
-    return waterfill_het_hom(modes, P, method)
+    lams = modes.lams
+    mu = None
+    if alloc == "uniform":
+        split = uniform_allocation(lams.size, P, n_signal)
+    else:
+        if P < 0:
+            raise NoFeasibleWaterlevel("power budget must be nonnegative")
+        d = _shannon_form(_rate_noise(modes, method), method)[1]
+        with np.errstate(divide="ignore"):
+            floors = np.where(lams > 0, d / lams, np.inf)
+        per_mode, mu = _waterfill_floors(floors, float(P))
+        split = PowerAllocation(per_mode, float(P))
+    return CapacityResult(_diagonal_bits(modes, split, method),
+                          _METHOD_NAMES.get(method, method), split, mu)
 
 
 def _channel_capacity(ch, P, method, alloc):

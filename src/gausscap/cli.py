@@ -227,11 +227,6 @@ def _rule_array(expr, N):
     return np.array([eval_rule(expr, k=k, N=N) for k in range(1, N + 1)])
 
 
-def _rule_values(expr, N):
-    """_rule_array(expr, N) as a list of floats."""
-    return _rule_array(expr, N).tolist()
-
-
 def _mode_count(rule, N, flag):
     """The value of a --K or --M rule at N, which must be a whole number."""
     value = eval_rule(rule, N=N)
@@ -290,21 +285,6 @@ def _with_config(parser, argv):
     return argv[:1] + front + argv[1:]
 
 
-def _channel_params(args, parser):
-    """Resolve the (lambda_k, n, xi) list and the input-mode count."""
-    if args.lambdas is not None:
-        lams = args.lambdas
-    elif args.lambdas_rule is not None:
-        if args.N is None:
-            parser.error("the following argument is required: --N")
-        lams = _rule_values(args.lambdas_rule, args.N)
-    else:
-        parser.error("one of --channel, --lambdas or --lambdas-rule is required")
-    if min(lams) < 0:
-        raise ValueError("transmissions must be nonnegative")
-    return [(lam, args.n, args.xi) for lam in lams], len(lams)
-
-
 def cmd_capacity(args, parser):
     if args.channel is not None:
         with open(args.channel) as fh:
@@ -319,10 +299,21 @@ def cmd_capacity(args, parser):
         alloc = args.alloc or ("uniform" if res.allocation is None
                                else "waterfill")
     else:
+        if args.lambdas is not None:
+            lams = np.array(args.lambdas)
+        elif args.lambdas_rule is not None:
+            if args.N is None:
+                parser.error("the following argument is required: --N")
+            lams = _rule_array(args.lambdas_rule, args.N)
+        else:
+            parser.error(
+                "one of --channel, --lambdas or --lambdas-rule is required")
+        if lams.min() < 0:
+            raise ValueError("transmissions must be nonnegative")
         alloc = args.alloc or "waterfill"
-        params, n_signal = _channel_params(args, parser)
-        res = capacity.diagonal_capacity(params, args.power, args.method,
-                                         alloc, n_signal)
+        res = capacity.diagonal_capacity(
+            capacity._Modes(lams, args.n, args.xi), args.power, args.method,
+            alloc, lams.size)
     per_mode = [] if res.allocation is None else res.allocation.per_mode
     mu = res.waterlevel
     report = {
@@ -461,9 +452,9 @@ def build_parser():
     p_rand.add_argument("--method", choices=["holevo", "het", "hom"],
                         default="holevo")
     p_rand.add_argument("--threads", type=_count,
-                        help="worker cap for active (sigma2 > 0) MC, "
-                             "GAUSSCAP_THREADS as fallback; passive MC runs "
-                             "batched in the calling thread")
+                        help="worker cap for active (sigma2 > 0) MC "
+                             "(default 1); passive MC runs batched in the "
+                             "calling thread")
     p_rand.add_argument("--allow-rect-active", action="store_true",
                         help="allow K > N in active (sigma2 > 0) MC by "
                              "truncating the enlarged transform")

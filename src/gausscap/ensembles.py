@@ -32,7 +32,6 @@ import numpy as np
 from .capacity import mode_rates, noise_photons
 from .channels import NoiseParams, block_form_channel
 from .errors import InsufficientEnvironment
-from .phasespace import real_representation
 
 __all__ = [
     "EnsembleSpec",
@@ -291,23 +290,16 @@ def _rekeyed_stream(seed, index):
     return gen
 
 
-def resolve_threads(threads=None):
-    """Worker count: explicit argument, else GAUSSCAP_THREADS, else 1."""
-    if threads is None:
-        threads = int(os.environ.get("GAUSSCAP_THREADS", "1"))
-    return max(1, int(threads))
-
-
 def run_indexed(eval_one, samples, threads=None):
     """Evaluate eval_one(i) for i in range(samples) into an array, in order.
 
     The output array is indexed by sample, so reductions over it (mean, std)
     are bit-identical no matter how many threads computed the entries.  With
-    T = min(threads, samples) > 1, worker w evaluates the contiguous block
-    samples*w//T <= i < samples*(w+1)//T: one task per worker, and never more
-    workers than samples.
+    T = min(threads or 1, samples) > 1, worker w evaluates the contiguous
+    block samples*w//T <= i < samples*(w+1)//T: one task per worker, and
+    never more workers than samples.
     """
-    threads = min(resolve_threads(threads), samples)
+    threads = min(threads or 1, samples)
     out = np.empty(samples)
 
     def run_block(lo, hi):
@@ -438,26 +430,6 @@ def passive_transmissions(spec, samples, seed=None):
 
 
 def sample_lambda_spectrum(spec, samples, seed=None):
-    """Empirical transmission eigenvalues from the real representation.
-
-    For each sample, the spectrum of H_s H_s^T is doubly degenerate (each
-    eigenvalue of A_1 A_1^dag appears twice).  Consecutive sorted eigenvalues
-    are paired and averaged; a pair gap above 1e-8 raises, as that would
-    falsify the doubling.  Returns a flat array of samples * min(K, N)
-    eigenvalues.  The seed defaults to spec.seed.
-    """
-    base_seed = _base_seed(spec, seed)
-    m = min(spec.K, spec.N)
-    out = np.empty((samples, m))
-    with _one_blas_thread():
-        for start, corners in _haar_corner_chunks(spec, samples, base_seed):
-            H = real_representation(corners)
-            w = np.linalg.eigvalsh(H @ np.swapaxes(H, -1, -2))[:, ::-1]
-            gaps = np.abs(w[:, 0::2] - w[:, 1::2])
-            if gaps.max() > 1e-8:
-                raise AssertionError(
-                    "real-representation spectrum not doubly degenerate: gap %g"
-                    % gaps.max()
-                )
-            out[start: start + len(corners)] = 0.5 * (w[:, 0::2] + w[:, 1::2])[:, :m]
-    return out.ravel()
+    """passive_transmissions(spec, samples, seed) as one flat array of
+    samples * min(K, N) eigenvalues of A_1 A_1^dag."""
+    return passive_transmissions(spec, samples, seed).ravel()

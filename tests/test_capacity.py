@@ -351,6 +351,141 @@ def test_waterfill_floors_bit_identical_to_reference():
     assert min(seen.values()) >= 50, seen
 
 
+def _reference_mode_rates(lams, P, Nk, method):
+    """The het and hom branches of mode_rates before the classical rate
+    joined it, verbatim."""
+    ns = lams * P
+    if method == "het":
+        return np.log2(1.0 + ns / (Nk + 1.0))
+    if method == "hom":
+        return 0.5 * np.log2(1.0 + 2.0 * ns / (Nk + 0.5))
+    raise ValueError("method must be 'holevo', 'het' or 'hom'")
+
+
+def _reference_waterfill_het_hom(params, P, kind):
+    """Verbatim copy of waterfill_het_hom before it delegated to
+    diagonal_capacity, with module names qualified."""
+    if kind not in cap._METHOD_NAMES:
+        raise ValueError("kind must be 'het' or 'hom'")
+    if P < 0:
+        raise NoFeasibleWaterlevel("power budget must be nonnegative")
+    lams, Nk = cap._checked_noise(params)
+    with np.errstate(divide="ignore"):
+        if kind == "het":
+            floors = np.where(lams > 0, (Nk + 1.0) / lams, np.inf)
+        else:
+            floors = np.where(lams > 0, (Nk + 0.5) / (2.0 * lams), np.inf)
+    per_mode, mu = cap._waterfill_floors(floors, float(P))
+    alloc = PowerAllocation(per_mode, float(P))
+    bits = float(np.add.reduce(_reference_mode_rates(lams, per_mode, Nk, kind)))
+    return cap.CapacityResult(bits, cap._METHOD_NAMES[kind], alloc, mu)
+
+
+def _reference_classical_capacity(lambdas, xi, P):
+    """Verbatim copy of classical_capacity before it delegated to
+    diagonal_capacity, with module names qualified."""
+    if xi <= 0:
+        raise ZeroNoiseClassical("classical capacity diverges at xi <= 0")
+    if P < 0:
+        raise NoFeasibleWaterlevel("power budget must be nonnegative")
+    lams = np.asarray(lambdas, dtype=float)
+    with np.errstate(divide="ignore"):
+        floors = np.where(lams > 0, xi / lams, np.inf)
+    per_mode, mu = cap._waterfill_floors(floors, float(P))
+    with np.errstate(invalid="ignore"):
+        rates = np.log2(1.0 + np.where(per_mode > 0, per_mode / floors, 0.0))
+    bits = float(np.sum(rates))
+    return cap.CapacityResult(bits, "classical", PowerAllocation(per_mode, float(P)), mu)
+
+
+def classical_rate_bound(m, bits):
+    """Bound on |C - C_ref| between the two forms of the classical rate.
+
+    With x = lambda_k P_k / xi, the reference rounds u = P_k / fl(xi /
+    lambda_k) and the engine v = fl(lambda_k P_k) / xi; two roundings each,
+    of unit roundoff eps/2, so |u - v| <= 2 eps x to first order.  Rounding
+    1 + u and 1 + v adds eps/2 (1 + x) each, so log2(1 + u) and log2(1 + v)
+    differ by at most (2 eps x + eps (1 + x)) / ((1 + x) ln 2) <= 3 eps / ln
+    2 per mode.  Each log2 is good to 1 ulp, eps r_k, on either side: 2 eps
+    C over the modes.  Summing m positive rates rounds each side by at most
+    (m/2) eps C.  In total |C - C_ref| <= eps (3 m / ln 2 + (m + 2) C), a
+    relative bound of eps (m + 2 + 3 m / (C ln 2)).
+    """
+    return _EPS * (3.0 * m / math.log(2.0) + (m + 2) * bits)
+
+
+_EPS = np.finfo(float).eps
+
+
+def test_parallel_waterfills_match_the_reference():
+    """het, hom and classical water-fills through diagonal_capacity against
+    the verbatim copies above: het and hom bit for bit, classical with the
+    same split and water level and bits within classical_rate_bound."""
+    rng = np.random.default_rng(20261020)
+    seen = {"dead": 0, "zero": 0, "tiny": 0, "large": 0}
+    for _ in range(2000):
+        modes = int(rng.integers(1, 25))
+        lams = rng.uniform(0.0, 1.0, size=modes)
+        lams[rng.uniform(size=modes) < 0.1] = 0.0
+        lams[rng.uniform(size=modes) < 0.1] += rng.uniform(0.0, 2.0)
+        n = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 1.0))
+        xi = 0.0 if rng.uniform() < 0.2 else float(rng.uniform(0.0, 0.5))
+        u = rng.uniform()
+        if u < 0.1:
+            P = 0.0
+        elif u < 0.25:
+            P = float(10.0 ** rng.uniform(-9.0, -6.0))
+        elif u < 0.4:
+            P = float(10.0 ** rng.uniform(4.0, 6.0))
+        else:
+            P = float(10.0 ** rng.uniform(-3.0, 3.0))
+        seen["dead"] += bool((lams == 0).any())
+        seen["zero"] += P == 0
+        seen["tiny"] += 0 < P <= 1e-6
+        seen["large"] += P >= 1e4
+        params = [(float(lam), n, xi) for lam in lams]
+        for kind in ("het", "hom"):
+            got = cap.waterfill_het_hom(params, P, kind)
+            want = _reference_waterfill_het_hom(params, P, kind)
+            assert float.hex(got.bits) == float.hex(want.bits)
+            assert (got.allocation.per_mode.tobytes()
+                    == want.allocation.per_mode.tobytes())
+            assert got.waterlevel == want.waterlevel
+            assert got.method == want.method
+        xi_c = xi if xi > 0 else float(rng.uniform(0.01, 1.0))
+        got = cap.classical_capacity(lams, xi_c, P)
+        want = _reference_classical_capacity(lams, xi_c, P)
+        assert (got.allocation.per_mode.tobytes()
+                == want.allocation.per_mode.tobytes())
+        assert got.waterlevel == want.waterlevel
+        assert abs(got.bits - want.bits) <= classical_rate_bound(modes,
+                                                                 want.bits)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_one_mode_classical_bits_follow_the_allocation():
+    """With one mode, uniform and water-filled classical bits are bit-equal
+    wherever the two splits are.
+
+    Both put all of P on the mode, but the water-fill computes it as
+    (P + f) - f, which rounds away from P in about 40% of this grid; there
+    the bits may differ too.
+    """
+    rng = np.random.default_rng(0)
+    equal_splits = 0
+    for _ in range(20000):
+        lam = rng.uniform(1e-3, 1.5)
+        P = 10.0 ** rng.uniform(-3.0, 4.0)
+        xi = rng.uniform(0.01, 1.0)
+        modes = cap._Modes(np.array([lam]), 0.0, xi)
+        uniform = cap.diagonal_capacity(modes, P, "classical", "uniform", 1)
+        filled = cap.diagonal_capacity(modes, P, "classical", "waterfill", 1)
+        if filled.allocation.per_mode[0] == uniform.allocation.per_mode[0]:
+            equal_splits += 1
+            assert float.hex(filled.bits) == float.hex(uniform.bits)
+    assert equal_splits >= 10000
+
+
 class TestHetHom:
     def test_het_identity_mode(self):
         # log2(1 + lambda P / (N + 1)) with lambda=1, N=0, P=3

@@ -31,7 +31,7 @@ from gausscap.cli import (
     EXIT_OK,
     EXIT_UNPHYSICAL,
     EXIT_USAGE,
-    _rule_values,
+    _rule_array,
     eval_rule,
     main,
 )
@@ -283,7 +283,7 @@ class TestSweepModes:
         want = ["N,method,alloc,bits"]
         for N in range(1, 25):
             params = [(lam, float(n), float(xi))
-                      for lam in _rule_values(rule, N)]
+                      for lam in _rule_array(rule, N).tolist()]
             for method in methods:
                 for alloc in allocs:
                     bits = diagonal_capacity(params, float(P), method, alloc,
@@ -665,6 +665,19 @@ class TestPlumbing:
         assert code == EXIT_INPUT and out == ""
         assert "%s must be an integer >= 1" % flag in err
 
+    @pytest.mark.parametrize("value", ["x", "-3", "2"])
+    def test_threads_environment_variable_is_not_read(self, capsys,
+                                                      monkeypatch, value):
+        # an active run's worker count comes from --threads alone
+        argv = ["random", "--N", "2", "--mode", "mc", "--seed", "1",
+                "--samples", "16", "--power", "3", "--sigma2", "0.05",
+                "--method", "hom"]
+        monkeypatch.delenv("GAUSSCAP_THREADS", raising=False)
+        want = run_err(capsys, *argv)
+        monkeypatch.setenv("GAUSSCAP_THREADS", value)
+        assert run_err(capsys, *argv) == want
+        assert want[0] == EXIT_OK
+
 
 def run_config(capsys, tmp_path, argv, cfg):
     """(exit code, stdout, stderr) of argv with `cfg` as its --config file."""
@@ -894,19 +907,19 @@ RULES = ["0.2+0.7*k/N", "1-k/(2*N)", "0.9", "-0.1+k/N", "-(k-N)/N*0.3+0.1",
 
 
 class TestRuleValues:
-    """_rule_values evaluates a rule over k = 1..N as one array."""
+    """_rule_array evaluates a rule over k = 1..N as one array."""
 
     @pytest.mark.parametrize("expr", RULES)
     def test_bit_identical_to_the_scalar_rule(self, expr):
         for N in range(1, 41):
-            got = _rule_values(expr, N)
+            got = _rule_array(expr, N).tolist()
             want = [eval_rule(expr, k=k, N=N) for k in range(1, N + 1)]
             assert [type(v) for v in got] == [float] * N
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_empty_range(self):
-        assert _rule_values("0.2+0.7*k/N", 0) == []
-        assert _rule_values("q", 0) == []
+        assert _rule_array("0.2+0.7*k/N", 0).tolist() == []
+        assert _rule_array("q", 0).tolist() == []
 
     @pytest.mark.parametrize("expr", ["1/(k-2)", "q+1", "1e307*k",
                                       "1/(1/(k-3))", "1e308*k*10-1e308*k*10",
@@ -917,7 +930,7 @@ class TestRuleValues:
             with pytest.raises(ValueError) as scalar:
                 [eval_rule(expr, k=k, N=30) for k in range(1, 31)]
             with pytest.raises(ValueError) as array:
-                _rule_values(expr, 30)
+                _rule_array(expr, 30).tolist()
         assert str(array.value) == str(scalar.value)
         assert caught == []
         assert capsys.readouterr().err == ""

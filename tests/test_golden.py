@@ -1,9 +1,9 @@
 """Golden-output regression test for the closed-form CLI.
 
-Runs analytic `random`, `sweep-modes` and `capacity --lambdas-rule` commands
-through main(argv) and compares their stdout and exit codes byte for byte
-with tests/data/closed_form_golden.txt.  Regenerate that file only when a
-printed digit is meant to change:
+Runs analytic `random`, `sweep-modes`, `capacity --lambdas-rule` and
+`capacity --lambdas` commands through main(argv) and compares their stdout
+and exit codes byte for byte with tests/data/closed_form_golden.txt.
+Regenerate that file only when a printed digit is meant to change:
 
     PYTHONPATH=src python tests/test_golden.py > tests/data/closed_form_golden.txt
 """
@@ -43,6 +43,11 @@ COMMANDS = (
        ["capacity", "--lambdas-rule", "1-k/(2*N)", "--N", "12", "--power",
         "1e-7", "--method", "holevo"] + _NOISE,
        ["capacity", "--lambdas-rule", "0.9", "--N", "4", "--power", "0"]]
+    + [["capacity", "--lambdas", lams, "--power", "5", "--method", method,
+        "--alloc", alloc] + noise
+       for lams, noise in (("0.9", []), ("0.36,0.81,0,0.5", _NOISE))
+       for method in ("holevo", "het", "hom", "classical")
+       for alloc in ("uniform", "waterfill")]
 )
 
 

@@ -42,6 +42,19 @@ def test_real_representation_is_homomorphism():
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+@pytest.mark.parametrize("K,N", [(2, 4), (3, 3), (4, 2)])
+def test_real_representation_doubles_the_spectrum(K, N):
+    """The spectrum of R(C) R(C)^T is that of C C^dag, each eigenvalue twice,
+    for complex K x N matrices C with K < N, K = N and K > N."""
+    rng = np.random.default_rng(10 * K + N)
+    for _ in range(50):
+        c = rng.standard_normal((K, N)) + 1j * rng.standard_normal((K, N))
+        r = real_representation(c)
+        got = np.linalg.eigvalsh(r @ r.T)
+        want = np.repeat(np.linalg.eigvalsh(c @ c.conj().T), 2)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-12 * want.max())
+
+
 def test_real_representation_block_layout():
     c = np.array([[1.0 + 2.0j]])
     r = real_representation(c)
