@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capacity import _channel_capacity, mode_rates, noise_photons
+from .capacity import _capacity_table, _channel_capacity
 from .channels import GaussianChannel, sigma_matrix
 from .ensembles import (
     _base_seed,
@@ -120,14 +120,6 @@ def active_sample(spec, rng, allow_rect=False):
     return GaussianChannel(H_s, (Y + Y.T) / 2.0, spec.noise)
 
 
-def _passive_bits(spec, lams, P, method):
-    # Per-sample capacities of passive draws from their (samples, modes)
-    # transmissions, under the uniform split P/N.  Receiver modes beyond N
-    # have lambda = 0 and carry exactly 0 bits, so they are left out.
-    Nk = noise_photons(lams, spec.noise.n, spec.noise.xi)
-    return mode_rates(lams, P / spec.N, Nk, method).sum(axis=1)
-
-
 def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
                        allow_rect=False, dump_path=None):
     """Monte-Carlo capacity of the active ensemble: (mean, standard error).
@@ -147,8 +139,13 @@ def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
     if P < 0:
         raise ValueError("power must be nonnegative")
     if spec.sigma2 == 0:
+        # receiver modes beyond N have lambda = 0 and carry exactly 0 bits,
+        # so each sample's row holds its min(K, N) transmissions
         lams = passive_transmissions(spec, samples, seed)
-        bits = _passive_bits(spec, lams, P, method)
+        rows = np.full(samples, lams.shape[1])
+        bits = _capacity_table(lams, rows, np.full(samples, spec.N),
+                               spec.noise.n, spec.noise.xi, P, method,
+                               "uniform")[0]
         max_sq = lams[:, 0]
     else:
         _check_receivers(spec, allow_rect)

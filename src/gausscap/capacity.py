@@ -57,27 +57,15 @@ _METHOD_NAMES = {"het": "heterodyne", "hom": "homodyne"}
 class PowerAllocation:
     """Mean photon numbers per singular mode, summing to at most `total`.
 
-    The budget test is sum(per_mode) <= total + 1e-9 + 4 n eps |total|, with
-    n modes and eps the double-precision machine epsilon.  Splitting the
-    budget n ways (or rescaling an allocation onto it) and summing the parts
-    in floating point rounds by at most about n eps of the total, whatever
-    the summation order, so the relative term forgives that rounding with a
-    margin of 4 and nothing more; 1e-9 photons is the absolute slack.
+    The budget test is that of _check_split for one row.
     """
 
     per_mode: np.ndarray
     total: float
 
     def __post_init__(self):
-        if not math.isfinite(self.total):
-            raise ValueError("power budget must be finite")
         p = np.asarray(self.per_mode, dtype=float)
-        # written so that NaN fails each test; +inf fails the budget
-        if p.size and not (p.min() >= 0):
-            raise ValueError("allocations must be finite and nonnegative")
-        slack = 1e-9 + 4.0 * p.size * _EPS * abs(self.total)
-        if not (p.sum() <= self.total + slack):
-            raise ValueError("allocation exceeds the power budget")
+        _check_split(p.reshape(1, -1), self.total, p.size, [(0, 1, p.size)])
         object.__setattr__(self, "per_mode", p)
 
 
@@ -105,57 +93,6 @@ def noise_photons(lams, n, xi):
     """Output noise photon number N_k of a single-mode thermal channel."""
     lams = np.asarray(lams, dtype=float)
     return (lams - 1.0) / 2.0 + (np.asarray(n) + 0.5) * np.abs(1.0 - lams) + xi
-
-
-class _Modes:
-    """One diagonal configuration as arrays: transmissions and noise.
-
-    `ns` and `xis` are the thermal photons and additive noise, arrays like
-    `lams` or scalars shared by every mode.  The noise photons N_k are
-    computed and checked on first use and kept, so a caller that evaluates
-    several methods and allocations of one configuration pays for them once.
-    """
-
-    __slots__ = ("lams", "ns", "xis", "_noise")
-
-    def __init__(self, lams, ns, xis):
-        self.lams, self.ns, self.xis = lams, ns, xis
-        self._noise = None
-
-    def noise(self):
-        """N_k of every mode; NegativeEntropyArgument if one is below 0."""
-        if self._noise is None:
-            Nk = noise_photons(self.lams, self.ns, self.xis)
-            if Nk.size and Nk.min() < -1e-12:
-                raise NegativeEntropyArgument(
-                    "noise photon number %g < 0; unphysical parameters"
-                    % Nk.min())
-            self._noise = Nk
-        return self._noise
-
-
-def _modes(params):
-    """`params` as _Modes: (lambda_k, n, xi) triples, or _Modes as is."""
-    if isinstance(params, _Modes):
-        return params
-    arr = np.asarray(params, dtype=float).reshape(-1, 3)
-    return _Modes(arr[:, 0], arr[:, 1], arr[:, 2])
-
-
-def _checked_noise(params):
-    modes = _modes(params)
-    return modes.lams, modes.noise()
-
-
-def _rate_noise(modes, method):
-    """method's noise argument of mode_rates: the N_k of `modes`, or for
-    classical the additive noise xi of its first mode (no N_k computed)."""
-    if method != "classical":
-        return modes.noise()
-    xi = np.ravel(modes.xis)[0]
-    if xi <= 0:
-        raise ZeroNoiseClassical("classical capacity requires xi > 0")
-    return xi
 
 
 def _shannon_form(noise, method):
@@ -194,13 +131,268 @@ def mode_rates(lams, P, noise, method):
     return s * np.log2(1.0 + ns / d)
 
 
-def _diagonal_bits(params, alloc, method):
-    modes = _modes(params)
-    if alloc.per_mode.shape != modes.lams.shape:
+# The engine below evaluates many diagonal configurations at once: a
+# zero-padded (rows, modes) table of transmissions whose row i holds
+# lengths[i] modes.  Every row gets the bits that it would get alone, because
+# each step is elementwise or runs along its own row, and every sum over a
+# row is np.add.reduce over that row's own modes.
+
+def _runs(lengths):
+    """(start, stop, length) of each run of consecutive rows of one length."""
+    if len(lengths) == 1:
+        return [(0, 1, lengths[0])]
+    cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1),
+            len(lengths)]
+    return [(start, stop, lengths[start]) for start, stop in zip(cuts, cuts[1:])]
+
+
+def _row_sums(table, runs):
+    """Each row of `table` summed over its own length, one call per run of
+    _runs."""
+    if len(runs) == 1:
+        return np.add.reduce(table[:, :runs[0][2]], axis=1)
+    sums = np.empty(len(table))
+    for start, stop, length in runs:
+        sums[start:stop] = np.add.reduce(table[start:stop, :length], axis=1)
+    return sums
+
+
+def _check_split(per_mode, total, lengths, runs):
+    """Raise ValueError unless every row is a split of the budget `total`.
+
+    `runs` are the _runs of the row lengths.  A row of n modes passes if
+    its entries are finite and nonnegative and sum to at most total + 1e-9 + 4 n eps |total|, with eps the
+    double-precision machine epsilon.  Splitting the budget n ways (or
+    rescaling an allocation onto it) and summing the parts in floating point
+    rounds by at most about n eps of the total, whatever the summation order,
+    so the relative term forgives that rounding with a margin of 4 and
+    nothing more; 1e-9 photons is the absolute slack.
+    """
+    if not math.isfinite(total):
+        raise ValueError("power budget must be finite")
+    # written so that NaN fails each test; +inf fails the budget
+    if per_mode.size and not (per_mode.min() >= 0):
+        raise ValueError("allocations must be finite and nonnegative")
+    slack = 1e-9 + 4.0 * lengths * _EPS * abs(total)
+    if not np.all(_row_sums(per_mode, runs) <= total + slack):
+        raise ValueError("allocation exceeds the power budget")
+
+
+def _mode_noise(lams, n, xi, method, padding):
+    """mode_rates' noise argument over the table, 0 on the padding: the
+    noise photons N_k, or for classical the additive noise xi of each row's
+    first mode (no N_k computed)."""
+    if method == "classical":
+        first = np.broadcast_to(xi, lams.shape)[:, :1]
+        if np.any(first <= 0):
+            raise ZeroNoiseClassical("classical capacity requires xi > 0")
+        return first
+    Nk = noise_photons(lams, n, xi)
+    if padding is not None:
+        Nk[padding] = 0.0
+    if np.any(Nk < -1e-12):
+        low = Nk.min(axis=1)   # a row with a NaN passes, as it does alone
+        if np.any(low < -1e-12):
+            raise NegativeEntropyArgument(
+                "noise photon number %g < 0; unphysical parameters"
+                % low[low < -1e-12][0])
+    return Nk
+
+
+def _waterfill_floors(floors, P):
+    """Exact classical water-filling of each row of a table of floors f_k.
+
+    Allocates P_k = {mu - f_k}+ with the water level mu fixed by the budget.
+    Each row is sorted; for its m cheapest modes mu = (P + sum of their
+    floors)/m, and the correct m is the smallest one whose water level does
+    not clear the next floor, or all modes with a finite floor.  Returns the
+    (rows, modes) powers and each row's mu, NaN where no floor is finite.
+    """
+    if not floors.size:
+        return np.zeros(floors.shape), np.full(len(floors), np.nan)
+    order = np.argsort(floors, axis=1)
+    f = np.take_along_axis(floors, order, axis=1)
+    finite = np.count_nonzero(np.isfinite(f), axis=1)
+    j = np.arange(f.shape[1])
+    levels = (P + np.cumsum(f, axis=1)) / (j + 1)
+    beyond = np.concatenate([f[:, 1:], np.full((len(f), 1), np.inf)], axis=1)
+    # the level of the last finite floor always stops, so m <= finite
+    m = np.argmax((levels <= beyond) | (j >= finite[:, None] - 1), axis=1) + 1
+    m[finite == 0] = 0
+    mu = np.where(finite > 0, levels[np.arange(len(f)), m - 1], np.nan)
+    with np.errstate(invalid="ignore"):
+        sorted_split = np.where(j < m[:, None],
+                                np.maximum(mu[:, None] - f, 0.0), 0.0)
+    per_mode = np.empty(floors.shape)
+    np.put_along_axis(per_mode, order, sorted_split, axis=1)
+    return per_mode, mu
+
+
+def _waterfill_holevo(lams, Nk, lengths, P):
+    """Optimal Holevo power allocation of every row via quantum water-filling.
+
+    Solves for mu > 1 in
+
+        P = sum_k (1/lambda_k) { 1/(mu^{1/lambda_k} - 1) - N_k }+
+
+    by bisection on w = ln mu (the left side is strictly decreasing in mu).
+    All rows step together, each one frozen at the step where a bisection of
+    its own would stop: within 1e-10 max(P, 1) of P, or after 200 steps at
+    the low end of its bracket, which spends at least P.  Modes with
+    lambda_k = 0 carry no power.  Returns the (rows, modes) powers, each
+    row's mu (NaN with no mode of lambda_k > 0, the threshold at which its
+    best mode turns on at P = 0) and a mask of the rows that carry power.
+    """
+    rows, width = lams.shape
+    active = lams > 0
+    counts = np.count_nonzero(active, axis=1)
+    # each row's modes with lambda_k > 0 first, in their order, so that a
+    # row's power is summed over exactly the modes that a lone row sums
+    order = np.argsort(~active, axis=1, kind="stable")
+    ahead = np.arange(width) < counts[:, None]
+    la = np.where(ahead, np.take_along_axis(lams, order, axis=1), 1.0)
+    Na = np.where(ahead, np.take_along_axis(Nk, order, axis=1), 0.0)
+    mu = np.full(rows, np.nan)
+    powered = counts > 0 if P > 0 else np.zeros(rows, dtype=bool)
+    idle = (counts > 0) & ~powered
+    if idle.any():
+        with np.errstate(divide="ignore"):
+            thresholds = (1.0 + 1.0 / Na[idle]) ** la[idle]
+        mu[idle] = np.where(ahead[idle], thresholds, -np.inf).max(axis=1)
+    per_mode = np.zeros(lams.shape)
+    if not powered.any():
+        return per_mode, mu, powered
+    la, Na, counts = la[powered], Na[powered], counts[powered]
+    every = _runs(counts)
+
+    def spent(w, la, Na, runs):
+        # The water-filled output photon target of mode k is
+        # x_k = 1/(mu^{1/lambda_k} - 1) at w = ln mu: expm1 keeps precision
+        # near mu -> 1, and an overflow to inf maps x_k to 0.  Returns the
+        # per-mode powers {x_k - N_k}+ / lambda_k of each row and their sum.
+        buf = np.expm1(w[:, None] / la)
+        buf = np.maximum(1.0 / buf - Na, 0.0) / la
+        return buf, _row_sums(buf, runs)
+
+    w_lo, w_hi = np.full(len(la), 1e-12), np.ones(len(la))
+    with np.errstate(over="ignore"):
+        low = np.ones(len(la), dtype=bool)
+        while low.any():
+            low &= spent(w_lo, la, Na, every)[1] < P
+            w_lo[low] /= 2.0
+            if np.any(w_lo[low] < 1e-300):
+                raise NoFeasibleWaterlevel("power budget too large to bracket")
+        high = np.ones(len(la), dtype=bool)
+        while high.any():
+            high &= spent(w_hi, la, Na, every)[1] > P
+            w_hi[high] *= 2.0
+        # bisect the rows `live` until each stops, dropping those that do
+        target_tol = 1e-10 * max(P, 1.0)
+        w, live = np.empty(len(la)), np.arange(len(la))
+        lo, hi, sub = w_lo, w_hi, (la, Na, every)
+        for _ in range(200):
+            w_mid = 0.5 * (lo + hi)
+            diff = spent(w_mid, *sub)[1] - P
+            done = np.abs(diff) <= target_tol
+            if done.any():
+                w[live[done]] = w_mid[done]
+                keep = ~done
+                live, lo, hi = live[keep], lo[keep], hi[keep]
+                w_mid, diff = w_mid[keep], diff[keep]
+                if not live.size:
+                    break
+                sub = la[live], Na[live], _runs(counts[live])
+            over = diff > 0
+            lo, hi = np.where(over, w_mid, lo), np.where(over, hi, w_mid)
+        else:
+            w[live] = lo   # 200 steps did not stop: lo spends >= P
+        buf = spent(w, la, Na, every)[0]
+    filled = np.zeros(la.shape)
+    np.put_along_axis(filled, order[powered],
+                      np.where(ahead[powered], buf, 0.0), axis=1)
+    # absorb the bisection residual so the allocation spends exactly P
+    total = _row_sums(filled, _runs(lengths[powered]))
+    if not np.isfinite(total).all():
+        raise NoFeasibleWaterlevel("water-filled allocation is not finite: %s"
+                                   % total[~np.isfinite(total)][0])
+    spends = total > 0.0
+    filled[spends] *= (P / total[spends])[:, None]
+    per_mode[powered] = filled
+    mu[powered] = [math.exp(x) for x in w]
+    return per_mode, mu, powered
+
+
+def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
+    """Capacities of the rows of a zero-padded (rows, modes) table.
+
+    Row i holds the transmissions lams[i, :lengths[i]]; `n` and `xi`
+    broadcast to `lams`.  `alloc` is "uniform", P/N photons on each of the
+    first N = n_signal[i] modes of each row, "waterfill", the optimal split
+    of diagonal_capacity, or a table of per-mode powers to evaluate.
+    Returns each row's bits, its per-mode powers (0 on the padding) and its
+    water level (NaN where it has none; None unless water-filled).
+    """
+    width, runs = lams.shape[1], _runs(lengths)
+    padding = (None if lengths.min() == width
+               else np.arange(width) >= lengths[:, None])
+    split = alloc if isinstance(alloc, str) else "given"
+    mu = None
+    if split == "given":
+        per_mode = alloc
+    elif split == "uniform":
+        signal = np.minimum(lengths, n_signal)[:, None]
+        per_mode = np.where(np.arange(width) < signal,
+                            P / n_signal[:, None], 0.0)
+        _check_split(per_mode, P, lengths, runs)
+    elif P < 0:
+        raise NoFeasibleWaterlevel("power budget must be nonnegative")
+    noise = _mode_noise(lams, n, xi, method, padding)
+    if split == "waterfill" and method == "holevo":
+        per_mode, mu, powered = _waterfill_holevo(lams, noise, lengths, P)
+        _check_split(per_mode, P, lengths, runs)
+        bits = np.zeros(len(lams))
+        if powered.any():
+            rates = mode_rates(lams, per_mode, noise, method)
+            bits[powered] = _row_sums(rates, runs)[powered]
+        return bits, per_mode, mu
+    if split == "waterfill":
+        d = _shannon_form(noise, method)[1]
+        with np.errstate(divide="ignore"):
+            floors = np.where(lams > 0, d / lams, np.inf)
+        per_mode, mu = _waterfill_floors(floors, float(P))
+        _check_split(per_mode, P, lengths, runs)
+    rates = mode_rates(lams, per_mode, noise, method)
+    return _row_sums(rates, runs), per_mode, mu
+
+
+def _row_capacity(lams, n, xi, P, method, alloc, n_signal=None):
+    """CapacityResult of _capacity_table for one row of modes `lams`, with
+    thermal photons `n` and additive noise `xi` given once or per mode."""
+    lams = np.asarray(lams, dtype=float).reshape(1, -1)
+    size = np.array([lams.size])
+    bits, per_mode, mu = _capacity_table(
+        lams, size, size if n_signal is None else np.array([n_signal]), n, xi,
+        P, method, alloc)
+    mu = None if mu is None or math.isnan(mu[0]) else float(mu[0])
+    return CapacityResult(float(bits[0]), _METHOD_NAMES.get(method, method),
+                          PowerAllocation(per_mode[0], float(P)), mu)
+
+
+def _triples(params):
+    """The lambda_k, n and xi columns of (lambda_k, n, xi) triples."""
+    arr = np.asarray(params, dtype=float).reshape(-1, 3)
+    return arr[:, 0], arr[:, 1], arr[:, 2]
+
+
+def _split_bits(params, alloc, method):
+    """Bits of the modes `params` under the PowerAllocation `alloc`."""
+    lams, n, xi = _triples(params)
+    if alloc.per_mode.shape != lams.shape:
         raise ValueError("allocation length must match the number of modes")
-    noise = _rate_noise(modes, method)
-    return float(np.add.reduce(mode_rates(modes.lams, alloc.per_mode, noise,
-                                          method)))
+    size = np.array([lams.size])
+    return float(_capacity_table(lams.reshape(1, -1), size, size, n, xi,
+                                 alloc.total, method,
+                                 alloc.per_mode.reshape(1, -1))[0][0])
 
 
 def holevo_diagonal(params, alloc):
@@ -208,7 +400,7 @@ def holevo_diagonal(params, alloc):
 
     chi = sum_k g(lambda_k P_k + N_k) - g(N_k).
     """
-    return _diagonal_bits(params, alloc, "holevo")
+    return _split_bits(params, alloc, "holevo")
 
 
 def holevo_general(ch, V_mod):
@@ -240,80 +432,11 @@ def holevo_general(ch, V_mod):
 def waterfill_holevo(params, P):
     """Optimal Holevo power allocation via quantum water-filling.
 
-    Solves for mu > 1 in
-
-        P = sum_k (1/lambda_k) { 1/(mu^{1/lambda_k} - 1) - N_k }+
-
-    by bisection on w = ln mu (the left side is strictly decreasing in mu),
-    then evaluates chi at that allocation.  Modes with lambda_k = 0 carry no
-    power and no information.
+    The power of each mode and the water level mu come from
+    _waterfill_holevo; chi is evaluated at that allocation.  Modes with
+    lambda_k = 0 carry no power and no information.
     """
-    if P < 0:
-        raise NoFeasibleWaterlevel("power budget must be nonnegative")
-    lams, Nk = _checked_noise(params)
-    active = lams > 0
-    if P == 0 or not active.any():
-        alloc = PowerAllocation(np.zeros(lams.shape), float(P))
-        mu = None
-        if active.any():
-            # threshold water level: the mu at which the best mode turns on
-            with np.errstate(divide="ignore"):
-                thresholds = (1.0 + 1.0 / Nk[active]) ** lams[active]
-            mu = float(np.max(thresholds))
-        return CapacityResult(0.0, "holevo", alloc, mu)
-
-    la, Na = lams[active], Nk[active]
-
-    # The water-filled output photon target of mode k is
-    # x_k = 1/(mu^{1/lambda_k} - 1) at w = ln mu: expm1 keeps precision near
-    # mu -> 1, and an overflow to inf maps x_k to 0, so one errstate covers
-    # the whole search.  Each step computes the per-mode powers
-    # {x_k - N_k}+ / lambda_k into one buffer, which holds the allocation of
-    # the last w evaluated.
-    buf = np.empty(la.shape)
-
-    def power_at(w):
-        np.divide(w, la, out=buf)
-        np.expm1(buf, out=buf)
-        np.divide(1.0, buf, out=buf)
-        np.subtract(buf, Na, out=buf)
-        np.maximum(buf, 0.0, out=buf)
-        np.divide(buf, la, out=buf)
-        return float(np.add.reduce(buf))
-
-    with np.errstate(over="ignore"):
-        w_lo, w_hi = 1e-12, 1.0
-        while power_at(w_lo) < P:
-            w_lo /= 2.0
-            if w_lo < 1e-300:
-                raise NoFeasibleWaterlevel("power budget too large to bracket")
-        while power_at(w_hi) > P:
-            w_hi *= 2.0
-        target_tol = 1e-10 * max(P, 1.0)
-        for _ in range(200):
-            w_mid = 0.5 * (w_lo + w_hi)
-            diff = power_at(w_mid) - P
-            if abs(diff) <= target_tol:
-                break
-            if diff > 0:
-                w_lo = w_mid
-            else:
-                w_hi = w_mid
-        else:
-            w_mid = w_lo   # spends >= P, so the rescale below spends P
-            power_at(w_mid)
-    per_mode = np.zeros(lams.shape)
-    per_mode[active] = buf
-    # absorb the bisection residual so the allocation spends exactly P
-    total = per_mode.sum()
-    if not math.isfinite(total):
-        raise NoFeasibleWaterlevel(
-            "water-filled allocation is not finite: %s" % total)
-    if total > 0.0:
-        per_mode *= P / total
-    alloc = PowerAllocation(per_mode, float(P))
-    bits = float(np.add.reduce(mode_rates(lams, per_mode, Nk, "holevo")))
-    return CapacityResult(bits, "holevo", alloc, float(math.exp(w_mid)))
+    return diagonal_capacity(params, P, "holevo", "waterfill", None)
 
 
 def het_hom_per_mode(params, alloc, kind):
@@ -323,28 +446,7 @@ def het_hom_per_mode(params, alloc, kind):
     """
     if kind not in _METHOD_NAMES:
         raise ValueError("kind must be 'het' or 'hom'")
-    return _diagonal_bits(params, alloc, kind)
-
-
-def _waterfill_floors(floors, P):
-    # Exact classical water-filling: allocate P_k = {mu - f_k}+ with the
-    # water level mu fixed by the budget.  Sort the floors, then for the m
-    # cheapest modes mu = (P + sum of their floors)/m; the correct m is the
-    # smallest one whose water level does not clear the next floor, or all
-    # modes with a finite floor.
-    floors = np.asarray(floors, dtype=float)
-    order = np.argsort(floors)
-    f = floors[order]
-    finite = int(np.count_nonzero(np.isfinite(f)))
-    if finite == 0:
-        return np.zeros(floors.shape), None
-    levels = (P + np.cumsum(f[:finite])) / np.arange(1, finite + 1)
-    stops = np.flatnonzero(levels[:-1] <= f[1:finite])
-    m = int(stops[0]) + 1 if stops.size else finite
-    mu = levels[m - 1]
-    alloc = np.zeros(floors.shape)
-    alloc[order[:m]] = np.maximum(mu - f[:m], 0.0)
-    return alloc, float(mu)
+    return _split_bits(params, alloc, kind)
 
 
 def waterfill_het_hom(params, P, kind):
@@ -427,49 +529,32 @@ def asymptotic_limits(P, kind):
 def classical_capacity(lambdas, xi, P):
     """Water-filled classical Shannon capacity of parallel channels with
     additive noise xi."""
-    return diagonal_capacity(
-        _Modes(np.asarray(lambdas, dtype=float), 0.0, xi), P, "classical",
-        "waterfill", None)
+    return _row_capacity(lambdas, 0.0, xi, P, "classical", "waterfill")
 
 
 def diagonal_capacity(params, P, method, alloc, n_signal):
     """Capacity of parallel single-mode channels under the power budget P.
 
-    `params` are (lambda_k, n, xi) triples, or a _Modes built from them
-    once for several calls.  `method` is holevo, het, hom or classical (the
-    Shannon capacity with the additive noise xi of the first mode); the
-    per-mode rates are those of mode_rates.  `alloc` is "uniform", P/N
-    photons on each of the first N = `n_signal` modes, or "waterfill", the
-    optimal split, whose water level is returned.
+    `params` are (lambda_k, n, xi) triples.  `method` is holevo, het, hom or
+    classical (the Shannon capacity with the additive noise xi of the first
+    mode); the per-mode rates are those of mode_rates.  `alloc` is
+    "uniform", P/N photons on each of the first N = `n_signal` modes, or
+    "waterfill", the optimal split, whose water level is returned.
 
-    Holevo water-fills quantum mechanically (waterfill_holevo).  The other
+    Holevo water-fills quantum mechanically (_waterfill_holevo).  The other
     three rates are s log2(1 + lambda_k P_k / d_k); s only rescales the
     objective, so their optimal split is the classical water-fill
-    P_k = {mu - f_k}+ over the floors f_k = d_k / lambda_k:
+    P_k = {mu - f_k}+ over the floors f_k = d_k / lambda_k
+    (_waterfill_floors):
 
         het:       f_k = (N_k + 1) / lambda_k
         hom:       f_k = ((N_k + 1/2) / 2) / lambda_k
         classical: f_k = xi / lambda_k
 
-    A mode with lambda_k = 0 has an infinite floor and gets no power.
+    A mode with lambda_k = 0 has an infinite floor and gets no power.  This
+    is the one-row case of the table engine _capacity_table.
     """
-    modes = _modes(params)
-    if method == "holevo" and alloc != "uniform":
-        return waterfill_holevo(modes, P)
-    lams = modes.lams
-    mu = None
-    if alloc == "uniform":
-        split = uniform_allocation(lams.size, P, n_signal)
-    else:
-        if P < 0:
-            raise NoFeasibleWaterlevel("power budget must be nonnegative")
-        d = _shannon_form(_rate_noise(modes, method), method)[1]
-        with np.errstate(divide="ignore"):
-            floors = np.where(lams > 0, d / lams, np.inf)
-        per_mode, mu = _waterfill_floors(floors, float(P))
-        split = PowerAllocation(per_mode, float(P))
-    return CapacityResult(_diagonal_bits(modes, split, method),
-                          _METHOD_NAMES.get(method, method), split, mu)
+    return _row_capacity(*_triples(params), P, method, alloc, n_signal)
 
 
 def _channel_capacity(ch, P, method, alloc):

@@ -6,9 +6,9 @@ import math
 
 import numpy as np
 import pytest
+from reference_capacity import _passive_bits
 
 from gausscap.active import (
-    _passive_bits,
     active_sample,
     bogoliubov_sample,
     bogoliubov_to_symplectic,

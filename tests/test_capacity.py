@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import reference_capacity as ref
 from gausscap import capacity as cap
 from gausscap.capacity import PowerAllocation
 from gausscap.channels import GaussianChannel, NoiseParams, block_form_channel
@@ -213,7 +214,7 @@ def _reference_waterfill_holevo(params, P):
         with np.errstate(over="ignore"):
             return 1.0 / np.expm1(w / lams)
 
-    lams, Nk = cap._checked_noise(params)
+    lams, Nk = ref._checked_noise(params)
     active = lams > 0
     if P == 0 or not active.any():
         mu = None
@@ -344,7 +345,8 @@ def test_waterfill_floors_bit_identical_to_reference():
         seen["zero"] += P == 0
         seen["tiny"] += 0 < P <= 1e-6
         seen["large"] += P >= 1e4
-        got, mu = cap._waterfill_floors(floors, P)
+        got, mu = cap._waterfill_floors(floors[None], P)
+        got, mu = got[0], None if np.isnan(mu[0]) else float(mu[0])
         want, want_mu = _reference_waterfill_floors(floors, P)
         assert got.tobytes() == want.tobytes()
         assert mu == want_mu and type(mu) is type(want_mu)
@@ -369,13 +371,13 @@ def _reference_waterfill_het_hom(params, P, kind):
         raise ValueError("kind must be 'het' or 'hom'")
     if P < 0:
         raise NoFeasibleWaterlevel("power budget must be nonnegative")
-    lams, Nk = cap._checked_noise(params)
+    lams, Nk = ref._checked_noise(params)
     with np.errstate(divide="ignore"):
         if kind == "het":
             floors = np.where(lams > 0, (Nk + 1.0) / lams, np.inf)
         else:
             floors = np.where(lams > 0, (Nk + 0.5) / (2.0 * lams), np.inf)
-    per_mode, mu = cap._waterfill_floors(floors, float(P))
+    per_mode, mu = ref._waterfill_floors(floors, float(P))
     alloc = PowerAllocation(per_mode, float(P))
     bits = float(np.add.reduce(_reference_mode_rates(lams, per_mode, Nk, kind)))
     return cap.CapacityResult(bits, cap._METHOD_NAMES[kind], alloc, mu)
@@ -391,7 +393,7 @@ def _reference_classical_capacity(lambdas, xi, P):
     lams = np.asarray(lambdas, dtype=float)
     with np.errstate(divide="ignore"):
         floors = np.where(lams > 0, xi / lams, np.inf)
-    per_mode, mu = cap._waterfill_floors(floors, float(P))
+    per_mode, mu = ref._waterfill_floors(floors, float(P))
     with np.errstate(invalid="ignore"):
         rates = np.log2(1.0 + np.where(per_mode > 0, per_mode / floors, 0.0))
     bits = float(np.sum(rates))
@@ -477,7 +479,7 @@ def test_one_mode_classical_bits_follow_the_allocation():
         lam = rng.uniform(1e-3, 1.5)
         P = 10.0 ** rng.uniform(-3.0, 4.0)
         xi = rng.uniform(0.01, 1.0)
-        modes = cap._Modes(np.array([lam]), 0.0, xi)
+        modes = [(lam, 0.0, xi)]
         uniform = cap.diagonal_capacity(modes, P, "classical", "uniform", 1)
         filled = cap.diagonal_capacity(modes, P, "classical", "waterfill", 1)
         if filled.allocation.per_mode[0] == uniform.allocation.per_mode[0]:
@@ -690,3 +692,118 @@ def test_holevo_dominates_measured_capacities():
         hom = cap.waterfill_het_hom(params, P, "hom").bits
         assert chi >= het - 1e-9
         assert chi >= hom - 1e-9
+
+
+# The table engine against the per-row path it replaced (reference_capacity):
+# each row of a (rows, modes) table gets, bit for bit, the bits, split and
+# water level that the row gets alone.
+
+METHOD_ALLOCS = [(method, alloc) for method in ("holevo", "het", "hom",
+                                                "classical")
+                 for alloc in ("uniform", "waterfill")]
+
+
+def _table(rows):
+    """A zero-padded table of the 1-D rows and their lengths."""
+    lengths = np.array([len(r) for r in rows])
+    lams = np.zeros((len(rows), max(lengths)))
+    for i, r in enumerate(rows):
+        lams[i, :len(r)] = r
+    return lams, lengths
+
+
+def _assert_rows_match_reference(lams, lengths, n_signal, n, xi, P, method,
+                                 alloc):
+    bits, per_mode, mu = cap._capacity_table(lams, lengths, n_signal, n, xi,
+                                             P, method, alloc)
+    ns, xis = (np.broadcast_to(v, lams.shape) for v in (n, xi))
+    for i, length in enumerate(lengths):
+        params = list(zip(lams[i, :length], ns[i, :length], xis[i, :length]))
+        want = ref.diagonal_capacity(params, P, method, alloc, n_signal[i])
+        assert float.hex(float(bits[i])) == float.hex(want.bits)
+        assert (per_mode[i, :length].tobytes()
+                == want.allocation.per_mode.tobytes())
+        assert not per_mode[i, length:].any()
+        got_mu = None if mu is None or np.isnan(mu[i]) else float(mu[i])
+        assert got_mu == want.waterlevel
+
+
+@pytest.mark.parametrize("rule", ["0.2+0.7*k/N", "1-k/(2*N)", "0.9"])
+@pytest.mark.parametrize("P, n, xi", [(7.5, 0.3, 0.1), (1e-6, 0.0, 0.1),
+                                      (1e4, 0.0, 0.1), (15.0, 0.0, 0.1),
+                                      (0.0, 0.3, 0.1)])
+def test_engine_rows_on_the_golden_rules(rule, P, n, xi):
+    from gausscap.cli import _rule_array
+    Ns = np.arange(1, 25)
+    lams, lengths = _table([_rule_array(rule, N) for N in Ns])
+    for method, alloc in METHOD_ALLOCS:
+        _assert_rows_match_reference(lams, lengths, Ns, n, xi, P, method,
+                                     alloc)
+
+
+def test_engine_rows_on_random_tables():
+    """Rows of 1-24 modes with dead (lambda = 0) modes, lambda up to 3,
+    per-row n and xi, and budgets P = 0, P <= 1e-6, P >= 1e4 and between;
+    signal-mode counts below the row length pad it with unpowered modes, as
+    the diagonal form of a channel with K > N receivers does."""
+    rng = np.random.default_rng(20261021)
+    seen = {"dead": 0, "signal<length": 0}
+    budgets = {"zero": 0, "tiny": 0, "large": 0}
+    for _ in range(60):
+        rows = []
+        for _ in range(int(rng.integers(1, 20))):
+            lam = rng.uniform(0.0, 1.0, size=int(rng.integers(1, 25)))
+            lam[rng.uniform(size=lam.size) < 0.15] = 0.0
+            lam[rng.uniform(size=lam.size) < 0.1] += rng.uniform(0.0, 2.0)
+            rows.append(lam)
+        lams, lengths = _table(rows)
+        n_signal = np.where(rng.uniform(size=len(rows)) < 0.3,
+                            rng.integers(1, lengths + 1), lengths)
+        n = np.where(rng.uniform(size=(len(rows), 1)) < 0.2, 0.0,
+                     rng.uniform(0.0, 1.0, size=(len(rows), 1)))
+        xi = rng.uniform(0.01, 0.5, size=(len(rows), 1))
+        u = rng.uniform()
+        P = (0.0 if u < 0.1 else float(10.0 ** rng.uniform(-9.0, -6.0))
+             if u < 0.25 else float(10.0 ** rng.uniform(4.0, 6.0))
+             if u < 0.4 else float(10.0 ** rng.uniform(-3.0, 3.0)))
+        seen["dead"] += bool((lams[np.arange(lams.shape[1])
+                                   < lengths[:, None]] == 0).any())
+        seen["signal<length"] += bool((n_signal < lengths).any())
+        budgets["zero"] += P == 0
+        budgets["tiny"] += 0 < P <= 1e-6
+        budgets["large"] += P >= 1e4
+        for method, alloc in METHOD_ALLOCS:
+            _assert_rows_match_reference(lams, lengths, n_signal, n, xi, P,
+                                         method, alloc)
+    assert min(seen.values()) >= 30 and min(budgets.values()) >= 4, (
+        seen, budgets)
+
+
+@pytest.mark.parametrize("N,K,M", [(1, 1, 1), (2, 2, 2), (4, 2, 3),
+                                   (2, 3, 3), (100, 100, 100)])
+@pytest.mark.parametrize("method", ["holevo", "het", "hom"])
+def test_engine_reduces_a_passive_table_as_the_monte_carlo_driver_did(
+        N, K, M, method):
+    from gausscap.channels import NoiseParams
+    from gausscap.ensembles import EnsembleSpec, passive_transmissions
+    spec = EnsembleSpec(N=N, K=K, M=M, noise=NoiseParams(0.3, 0.1), seed=5)
+    lams = passive_transmissions(spec, 200 if N < 100 else 8)
+    rows = np.full(len(lams), lams.shape[1])
+    for P in (0.0, 1e-6, 6.0, 1e4):
+        bits = cap._capacity_table(lams, rows, np.full(len(lams), N), 0.3,
+                                   0.1, P, method, "uniform")[0]
+        assert bits.tobytes() == ref._passive_bits(spec, lams, P,
+                                                   method).tobytes()
+
+
+def test_engine_raises_for_the_first_failing_row():
+    lams = np.array([[0.5, 0.0], [0.5, 0.2], [0.4, 0.0]])
+    lengths = np.array([1, 2, 2])
+    n = np.array([[0.0], [-0.9], [-0.95]])
+    with pytest.raises(NegativeEntropyArgument) as raised:
+        cap._capacity_table(lams, lengths, lengths, n, 0.0, 1.0, "het",
+                            "uniform")
+    with pytest.raises(NegativeEntropyArgument) as alone:
+        ref.diagonal_capacity([(0.5, -0.9, 0.0), (0.2, -0.9, 0.0)], 1.0,
+                              "het", "uniform", 2)
+    assert str(raised.value) == str(alone.value)
