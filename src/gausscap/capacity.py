@@ -205,8 +205,17 @@ def _waterfill_floors(floors, P):
     Allocates P_k = {mu - f_k}+ with the water level mu fixed by the budget.
     Each row is sorted; for its m cheapest modes mu = (P + sum of their
     floors)/m, and the correct m is the smallest one whose water level does
-    not clear the next floor, or all modes with a finite floor.  Returns the
-    (rows, modes) powers and each row's mu, NaN where no floor is finite.
+    not clear the next floor, or all modes with a finite floor.  The split
+    is not computed as mu - f_k, which cancels when f_k >> P_k, but as
+
+        P_k = (P + sum_{j<m} (f_j - f_k)) / m,
+
+    with the floors taken from the lowest one, g_j = f_j - f_0, so that
+    sum_{j<m} (f_j - f_k) = G - m g_k with G = sum_{j<m} g_j.  Every active
+    g_j lies below the water depth mu - f_0 <= P, so the rounding of the
+    floors themselves never enters, and one mode gets exactly P.  Returns
+    the (rows, modes) powers and each row's mu, NaN where no floor is
+    finite.
     """
     if not floors.size:
         return np.zeros(floors.shape), np.full(len(floors), np.nan)
@@ -219,10 +228,15 @@ def _waterfill_floors(floors, P):
     # the level of the last finite floor always stops, so m <= finite
     m = np.argmax((levels <= beyond) | (j >= finite[:, None] - 1), axis=1) + 1
     m[finite == 0] = 0
-    mu = np.where(finite > 0, levels[np.arange(len(f)), m - 1], np.nan)
-    with np.errstate(invalid="ignore"):
-        sorted_split = np.where(j < m[:, None],
-                                np.maximum(mu[:, None] - f, 0.0), 0.0)
+    rows = np.arange(len(f))
+    mu = np.where(finite > 0, levels[rows, m - 1], np.nan)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = f - f[:, :1]
+        G = np.cumsum(g, axis=1)[rows, m - 1]
+        sorted_split = np.where(
+            j < m[:, None],
+            np.maximum((P + (G[:, None] - m[:, None] * g)) / m[:, None], 0.0),
+            0.0)
     per_mode = np.empty(floors.shape)
     np.put_along_axis(per_mode, order, sorted_split, axis=1)
     return per_mode, mu

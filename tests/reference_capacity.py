@@ -1,8 +1,8 @@
 """The per-row capacity path of gausscap.capacity before the table engine.
 
 A verbatim copy of _Modes, _modes, _checked_noise, _rate_noise,
-_diagonal_bits, waterfill_holevo, _waterfill_floors, diagonal_capacity and the Monte Carlo driver's
-_passive_bits as they evaluated one configuration at a time, with module
+_diagonal_bits, waterfill_holevo, _waterfill_floors, diagonal_capacity and
+the Monte Carlo driver's _passive_bits as they evaluated one configuration at a time, with module
 names qualified.
 The tests compare the engine's rows with it bit for bit.
 """
@@ -171,7 +171,8 @@ def _waterfill_floors(floors, P):
     # water level mu fixed by the budget.  Sort the floors, then for the m
     # cheapest modes mu = (P + sum of their floors)/m; the correct m is the
     # smallest one whose water level does not clear the next floor, or all
-    # modes with a finite floor.
+    # modes with a finite floor.  (Not verbatim: the split is the stable
+    # (P + sum_{j<m} (f_j - f_k))/m of the engine, with g = f - f_0.)
     floors = np.asarray(floors, dtype=float)
     order = np.argsort(floors)
     f = floors[order]
@@ -182,8 +183,9 @@ def _waterfill_floors(floors, P):
     stops = np.flatnonzero(levels[:-1] <= f[1:finite])
     m = int(stops[0]) + 1 if stops.size else finite
     mu = levels[m - 1]
+    g = f[:m] - f[0]
     alloc = np.zeros(floors.shape)
-    alloc[order[:m]] = np.maximum(mu - f[:m], 0.0)
+    alloc[order[:m]] = np.maximum((P + (np.cumsum(g)[-1] - m * g)) / m, 0.0)
     return alloc, float(mu)
 
 

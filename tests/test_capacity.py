@@ -293,8 +293,10 @@ def test_waterfill_holevo_refuses_an_overflowing_allocation():
 def _reference_waterfill_floors(floors, P):
     """Classical water-filling with a Python loop over the modes.
 
-    A verbatim copy of _waterfill_floors before its water level came from
-    one array of candidate levels.
+    The loop of _waterfill_floors before its water level came from one array
+    of candidate levels, with the split of the stable form: P_k =
+    (P + G - m g_k)/m over g_k = f_k - f_0 and G = sum_{j<m} g_j, summed in
+    order, in place of mu - f_k.
     """
     floors = np.asarray(floors, dtype=float)
     order = np.argsort(floors)
@@ -308,8 +310,12 @@ def _reference_waterfill_floors(floors, P):
         mu = (P + csum[m - 1]) / m
         if m == finite or mu <= f[m]:
             break
+    G = 0.0
+    for k in range(m):
+        G += float(f[k] - f[0])
     alloc = np.zeros(floors.shape)
-    alloc[order[:m]] = np.maximum(mu - f[:m], 0.0)
+    for k in range(m):
+        alloc[order[k]] = max((P + (G - m * float(f[k] - f[0]))) / m, 0.0)
     return alloc, float(mu)
 
 
@@ -466,15 +472,9 @@ def test_parallel_waterfills_match_the_reference():
 
 
 def test_one_mode_classical_bits_follow_the_allocation():
-    """With one mode, uniform and water-filled classical bits are bit-equal
-    wherever the two splits are.
-
-    Both put all of P on the mode, but the water-fill computes it as
-    (P + f) - f, which rounds away from P in about 40% of this grid; there
-    the bits may differ too.
-    """
+    """With one mode, uniform and water-filled classical results are
+    bit-equal: both put exactly P on the mode."""
     rng = np.random.default_rng(0)
-    equal_splits = 0
     for _ in range(20000):
         lam = rng.uniform(1e-3, 1.5)
         P = 10.0 ** rng.uniform(-3.0, 4.0)
@@ -482,10 +482,8 @@ def test_one_mode_classical_bits_follow_the_allocation():
         modes = [(lam, 0.0, xi)]
         uniform = cap.diagonal_capacity(modes, P, "classical", "uniform", 1)
         filled = cap.diagonal_capacity(modes, P, "classical", "waterfill", 1)
-        if filled.allocation.per_mode[0] == uniform.allocation.per_mode[0]:
-            equal_splits += 1
-            assert float.hex(filled.bits) == float.hex(uniform.bits)
-    assert equal_splits >= 10000
+        assert filled.allocation.per_mode[0] == P
+        assert float.hex(filled.bits) == float.hex(uniform.bits)
 
 
 class TestHetHom:
