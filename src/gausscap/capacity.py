@@ -97,7 +97,7 @@ def noise_photons(lams, n, xi):
 
 def _shannon_form(noise, method):
     """(s, d_k) of the rate s log2(1 + lambda_k P_k / d_k) of het, hom or
-    classical, from the noise photons N_k (het, hom) or xi (classical)."""
+    classical, from the noise photons N_k (het, hom) or xi_k (classical)."""
     if method == "het":
         return 1.0, noise + 1.0
     if method == "hom":
@@ -111,12 +111,12 @@ def mode_rates(lams, P, noise, method):
     """Per-mode rates in bits of single-mode channels, elementwise.
 
     With signal photons ns_k = lambda_k P_k, and `noise` the noise photons
-    N_k (the additive noise xi for classical):
+    N_k (the additive noise xi_k for classical):
 
         holevo:    g(ns_k + N_k) - g(N_k)
         het:       log2(1 + ns_k / (N_k + 1))
         hom:       (1/2) log2(1 + ns_k / ((N_k + 1/2) / 2))
-        classical: log2(1 + ns_k / xi)
+        classical: log2(1 + ns_k / xi_k)
 
     (homodyne assumes the modulation power is concentrated in the measured
     quadrature).
@@ -179,14 +179,16 @@ def _check_split(per_mode, total, lengths, runs):
 
 
 def _mode_noise(lams, n, xi, method, padding):
-    """mode_rates' noise argument over the table, 0 on the padding: the
-    noise photons N_k, or for classical the additive noise xi of each row's
-    first mode (no N_k computed)."""
+    """mode_rates' noise argument over the table: the noise photons N_k (0
+    on the padding), or for classical each mode's additive noise xi_k (1 on
+    the padding; no N_k computed)."""
     if method == "classical":
-        first = np.broadcast_to(xi, lams.shape)[:, :1]
-        if np.any(first <= 0):
+        xi = np.broadcast_to(xi, lams.shape)
+        if padding is not None:
+            xi = np.where(padding, 1.0, xi)
+        if np.any(xi <= 0):
             raise ZeroNoiseClassical("classical capacity requires xi > 0")
-        return first
+        return xi
     Nk = noise_photons(lams, n, xi)
     if padding is not None:
         Nk[padding] = 0.0
@@ -550,8 +552,8 @@ def diagonal_capacity(params, P, method, alloc, n_signal):
     """Capacity of parallel single-mode channels under the power budget P.
 
     `params` are (lambda_k, n, xi) triples.  `method` is holevo, het, hom or
-    classical (the Shannon capacity with the additive noise xi of the first
-    mode); the per-mode rates are those of mode_rates.  `alloc` is
+    classical (the Shannon capacity with each mode's additive noise xi_k);
+    the per-mode rates are those of mode_rates.  `alloc` is
     "uniform", P/N photons on each of the first N = `n_signal` modes, or
     "waterfill", the optimal split, whose water level is returned.
 
@@ -563,7 +565,7 @@ def diagonal_capacity(params, P, method, alloc, n_signal):
 
         het:       f_k = (N_k + 1) / lambda_k
         hom:       f_k = ((N_k + 1/2) / 2) / lambda_k
-        classical: f_k = xi / lambda_k
+        classical: f_k = xi_k / lambda_k
 
     A mode with lambda_k = 0 has an infinite floor and gets no power.  This
     is the one-row case of the table engine _capacity_table.

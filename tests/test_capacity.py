@@ -486,6 +486,41 @@ def test_one_mode_classical_bits_follow_the_allocation():
         assert float.hex(filled.bits) == float.hex(uniform.bits)
 
 
+def test_classical_rate_uses_each_modes_own_xi():
+    """The classical rate of mode k is log2(1 + lambda_k P_k / xi_k), so the
+    order of the modes does not change the result.
+
+    Only the summation order of the m rates changes with the order of the
+    modes; the pairwise sum of m positive terms rounds by at most (m - 1)
+    eps of the total either way, so the two results differ by at most
+    2 m eps of it.  The split itself comes from the sorted floors and does
+    not depend on the order at all.
+    """
+    two = [(0.5, 0.0, 0.1), (0.5, 0.0, 1.0)]
+    want = math.log2(1.0 + 0.25 / 0.1) + math.log2(1.0 + 0.25 / 1.0)
+    for params in (two, two[::-1]):
+        got = cap.diagonal_capacity(params, 1.0, "classical", "uniform", 2)
+        assert got.bits == pytest.approx(want, rel=4 * _EPS)
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        m = int(rng.integers(1, 9))
+        params = list(zip(rng.uniform(0.0, 1.5, m).tolist(),
+                          rng.uniform(0.0, 1.0, m).tolist(),
+                          rng.uniform(0.01, 1.0, m).tolist()))
+        perm = rng.permutation(m)
+        P = float(10.0 ** rng.uniform(-3.0, 3.0))
+        for alloc in ("uniform", "waterfill"):
+            res = cap.diagonal_capacity(params, P, "classical", alloc, m)
+            moved = cap.diagonal_capacity([params[i] for i in perm], P,
+                                          "classical", alloc, m)
+            assert (moved.allocation.per_mode.tobytes()
+                    == res.allocation.per_mode[perm].tobytes())
+            assert abs(moved.bits - res.bits) <= 2 * m * _EPS * res.bits
+            rates = [math.log2(1.0 + lam * p / xi) for (lam, _, xi), p
+                     in zip(params, res.allocation.per_mode)]
+            assert res.bits == pytest.approx(math.fsum(rates), rel=1e-13)
+
+
 class TestHetHom:
     def test_het_identity_mode(self):
         # log2(1 + lambda P / (N + 1)) with lambda=1, N=0, P=3
