@@ -55,10 +55,8 @@ _METHOD_NAMES = {"het": "heterodyne", "hom": "homodyne"}
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Mean photon numbers per singular mode, summing to at most `total`.
-
-    The budget test is that of _check_split for one row.
-    """
+    """Mean photon numbers per singular mode, summing to at most `total`
+    (the budget test of _check_split)."""
 
     per_mode: np.ndarray
     total: float
@@ -75,18 +73,6 @@ class CapacityResult:
     method: str
     allocation: PowerAllocation
     waterlevel: Optional[float] = None
-
-
-def uniform_allocation(n_modes, P, n_signal_modes=None):
-    """P/N photons on each of the first min(n_modes, N) singular modes.
-
-    `n_signal_modes` defaults to n_modes; pass the channel's input mode count
-    when the params list carries extra zero-transmission output modes.
-    """
-    N = n_modes if n_signal_modes is None else n_signal_modes
-    per_mode = np.zeros(n_modes)
-    per_mode[: min(n_modes, N)] = P / N
-    return PowerAllocation(per_mode, P)
 
 
 def noise_photons(lams, n, xi):
@@ -131,16 +117,13 @@ def mode_rates(lams, P, noise, method):
     return s * np.log2(1.0 + ns / d)
 
 
-# The engine below evaluates many diagonal configurations at once: a
-# zero-padded (rows, modes) table of transmissions whose row i holds
-# lengths[i] modes.  Every row gets the bits that it would get alone, because
-# each step is elementwise or runs along its own row, and every sum over a
-# row is np.add.reduce over that row's own modes.
+# The engine below evaluates many diagonal configurations at once, as rows of
+# a zero-padded (rows, modes) table.  Each row gets the bits it would get
+# alone: every step is elementwise or along its row, and every row sum is
+# np.add.reduce over that row's own modes.
 
 def _runs(lengths):
     """(start, stop, length) of each run of consecutive rows of one length."""
-    if len(lengths) == 1:
-        return [(0, 1, lengths[0])]
     cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1),
             len(lengths)]
     return [(start, stop, lengths[start]) for start, stop in zip(cuts, cuts[1:])]
@@ -149,8 +132,6 @@ def _runs(lengths):
 def _row_sums(table, runs):
     """Each row of `table` summed over its own length, one call per run of
     _runs."""
-    if len(runs) == 1:
-        return np.add.reduce(table[:, :runs[0][2]], axis=1)
     sums = np.empty(len(table))
     for start, stop, length in runs:
         sums[start:stop] = np.add.reduce(table[start:stop, :length], axis=1)
@@ -160,13 +141,12 @@ def _row_sums(table, runs):
 def _check_split(per_mode, total, lengths, runs):
     """Raise ValueError unless every row is a split of the budget `total`.
 
-    `runs` are the _runs of the row lengths.  A row of n modes passes if
-    its entries are finite and nonnegative and sum to at most total + 1e-9 + 4 n eps |total|, with eps the
-    double-precision machine epsilon.  Splitting the budget n ways (or
-    rescaling an allocation onto it) and summing the parts in floating point
-    rounds by at most about n eps of the total, whatever the summation order,
-    so the relative term forgives that rounding with a margin of 4 and
-    nothing more; 1e-9 photons is the absolute slack.
+    A row of n modes (`runs` are the _runs of the row lengths) passes if its
+    entries are finite, nonnegative and sum to at most total + 1e-9 +
+    4 n eps |total|: splitting the budget n ways (or rescaling onto it) and
+    summing the parts rounds by at most about n eps of the total, in any
+    order, so the relative term forgives that rounding with a margin of 4;
+    1e-9 photons is the absolute slack.
     """
     if not math.isfinite(total):
         raise ValueError("power budget must be finite")
@@ -174,7 +154,7 @@ def _check_split(per_mode, total, lengths, runs):
     if per_mode.size and not (per_mode.min() >= 0):
         raise ValueError("allocations must be finite and nonnegative")
     slack = 1e-9 + 4.0 * lengths * _EPS * abs(total)
-    if not np.all(_row_sums(per_mode, runs) <= total + slack):
+    if not (_row_sums(per_mode, runs) <= total + slack).all():
         raise ValueError("allocation exceeds the power budget")
 
 
@@ -186,38 +166,30 @@ def _mode_noise(lams, n, xi, method, padding):
         xi = np.broadcast_to(xi, lams.shape)
         if padding is not None:
             xi = np.where(padding, 1.0, xi)
-        if np.any(xi <= 0):
+        if (xi <= 0).any():
             raise ZeroNoiseClassical("classical capacity requires xi > 0")
         return xi
     Nk = noise_photons(lams, n, xi)
     if padding is not None:
         Nk[padding] = 0.0
-    if np.any(Nk < -1e-12):
-        low = Nk.min(axis=1)   # a row with a NaN passes, as it does alone
-        if np.any(low < -1e-12):
-            raise NegativeEntropyArgument(
-                "noise photon number %g < 0; unphysical parameters"
-                % low[low < -1e-12][0])
+    low = Nk.min(axis=1, initial=0.0)
+    if (low < -1e-12).any():
+        raise NegativeEntropyArgument(
+            "noise photon number %g < 0; unphysical parameters"
+            % low[low < -1e-12][0])
     return Nk
 
 
 def _waterfill_floors(floors, P):
     """Exact classical water-filling of each row of a table of floors f_k.
 
-    Allocates P_k = {mu - f_k}+ with the water level mu fixed by the budget.
-    Each row is sorted; for its m cheapest modes mu = (P + sum of their
-    floors)/m, and the correct m is the smallest one whose water level does
-    not clear the next floor, or all modes with a finite floor.  The split
-    is not computed as mu - f_k, which cancels when f_k >> P_k, but as
-
-        P_k = (P + sum_{j<m} (f_j - f_k)) / m,
-
-    with the floors taken from the lowest one, g_j = f_j - f_0, so that
-    sum_{j<m} (f_j - f_k) = G - m g_k with G = sum_{j<m} g_j.  Every active
-    g_j lies below the water depth mu - f_0 <= P, so the rounding of the
-    floors themselves never enters, and one mode gets exactly P.  Returns
-    the (rows, modes) powers and each row's mu, NaN where no floor is
-    finite.
+    P_k = {mu - f_k}+ with the water level mu fixed by the budget: for the
+    m cheapest modes of a row mu = (P + sum of their floors)/m, and m is the
+    smallest count whose level does not clear the next floor, or all finite
+    floors.  mu - f_k cancels when f_k >> P_k, so the split is computed as
+    (P + G - m g_k)/m over g_k = f_k - f_0, the floors above the lowest, and
+    G = sum_{j<m} g_j: every active g_j is below mu - f_0 <= P, and one mode
+    gets exactly P.  Returns the powers and each row's mu (NaN if none).
     """
     if not floors.size:
         return np.zeros(floors.shape), np.full(len(floors), np.nan)
@@ -245,94 +217,78 @@ def _waterfill_floors(floors, P):
 
 
 def _waterfill_holevo(lams, Nk, lengths, P):
-    """Optimal Holevo power allocation of every row via quantum water-filling.
-
-    Solves for mu > 1 in
+    """Quantum water-filling of every row: the mu > 1 that solves
 
         P = sum_k (1/lambda_k) { 1/(mu^{1/lambda_k} - 1) - N_k }+
 
-    by bisection on w = ln mu (the left side is strictly decreasing in mu).
-    All rows step together, each one frozen at the step where a bisection of
-    its own would stop: within 1e-10 max(P, 1) of P, or after 200 steps at
-    the low end of its bracket, which spends at least P.  Modes with
-    lambda_k = 0 carry no power.  Returns the (rows, modes) powers, each
-    row's mu (NaN with no mode of lambda_k > 0, the threshold at which its
-    best mode turns on at P = 0) and a mask of the rows that carry power.
+    by bisection on w = ln mu (the right side falls as mu grows).  All rows
+    step together, each frozen where its own bisection stops: within
+    1e-10 max(P, 1) of P, or after 200 steps at the low end of its bracket,
+    which spends at least P.  Returns the powers, each row's mu (NaN with no
+    mode of lambda_k > 0; at P = 0 the level where its best mode turns on)
+    and a mask of the rows that carry power.
     """
-    rows, width = lams.shape
     active = lams > 0
     counts = np.count_nonzero(active, axis=1)
     # each row's modes with lambda_k > 0 first, in their order, so that a
     # row's power is summed over exactly the modes that a lone row sums
     order = np.argsort(~active, axis=1, kind="stable")
-    ahead = np.arange(width) < counts[:, None]
+    ahead = np.arange(lams.shape[1]) < counts[:, None]
     la = np.where(ahead, np.take_along_axis(lams, order, axis=1), 1.0)
     Na = np.where(ahead, np.take_along_axis(Nk, order, axis=1), 0.0)
-    mu = np.full(rows, np.nan)
-    powered = counts > 0 if P > 0 else np.zeros(rows, dtype=bool)
-    idle = (counts > 0) & ~powered
-    if idle.any():
+    mu, per_mode = np.full(len(lams), np.nan), np.zeros(lams.shape)
+    powered = (counts > 0) & (P > 0)
+    if P == 0 and counts.any():
+        idle = counts > 0
         with np.errstate(divide="ignore"):
             thresholds = (1.0 + 1.0 / Na[idle]) ** la[idle]
         mu[idle] = np.where(ahead[idle], thresholds, -np.inf).max(axis=1)
-    per_mode = np.zeros(lams.shape)
     if not powered.any():
         return per_mode, mu, powered
-    la, Na, counts = la[powered], Na[powered], counts[powered]
-    every = _runs(counts)
+    la, Na, runs = la[powered], Na[powered], _runs(counts[powered])
 
-    def spent(w, la, Na, runs):
-        # The water-filled output photon target of mode k is
-        # x_k = 1/(mu^{1/lambda_k} - 1) at w = ln mu: expm1 keeps precision
-        # near mu -> 1, and an overflow to inf maps x_k to 0.  Returns the
-        # per-mode powers {x_k - N_k}+ / lambda_k of each row and their sum.
-        buf = np.expm1(w[:, None] / la)
-        buf = np.maximum(1.0 / buf - Na, 0.0) / la
+    def spent(w):
+        # powers {x_k - N_k}+ / lambda_k at the output photon targets
+        # x_k = 1/(mu^{1/lambda_k} - 1), and their row sums; expm1 keeps
+        # precision near mu -> 1, and an overflow to inf maps x_k to 0
+        buf = np.maximum(1.0 / np.expm1(w[:, None] / la) - Na, 0.0) / la
         return buf, _row_sums(buf, runs)
 
     w_lo, w_hi = np.full(len(la), 1e-12), np.ones(len(la))
+    target_tol = 1e-10 * max(P, 1.0)
     with np.errstate(over="ignore"):
-        low = np.ones(len(la), dtype=bool)
+        low = high = live = np.ones(len(la), dtype=bool)
         while low.any():
-            low &= spent(w_lo, la, Na, every)[1] < P
+            low = low & (spent(w_lo)[1] < P)
             w_lo[low] /= 2.0
             if np.any(w_lo[low] < 1e-300):
                 raise NoFeasibleWaterlevel("power budget too large to bracket")
-        high = np.ones(len(la), dtype=bool)
         while high.any():
-            high &= spent(w_hi, la, Na, every)[1] > P
+            high = high & (spent(w_hi)[1] > P)
             w_hi[high] *= 2.0
-        # bisect the rows `live` until each stops, dropping those that do
-        target_tol = 1e-10 * max(P, 1.0)
-        w, live = np.empty(len(la)), np.arange(len(la))
-        lo, hi, sub = w_lo, w_hi, (la, Na, every)
+        w = w_lo.copy()
         for _ in range(200):
-            w_mid = 0.5 * (lo + hi)
-            diff = spent(w_mid, *sub)[1] - P
-            done = np.abs(diff) <= target_tol
-            if done.any():
-                w[live[done]] = w_mid[done]
-                keep = ~done
-                live, lo, hi = live[keep], lo[keep], hi[keep]
-                w_mid, diff = w_mid[keep], diff[keep]
-                if not live.size:
-                    break
-                sub = la[live], Na[live], _runs(counts[live])
-            over = diff > 0
-            lo, hi = np.where(over, w_mid, lo), np.where(over, hi, w_mid)
+            w_mid = 0.5 * (w_lo + w_hi)
+            diff = spent(w_mid)[1] - P
+            done = live & (np.abs(diff) <= target_tol)
+            w[done] = w_mid[done]
+            live = live & ~done
+            if not live.any():
+                break
+            w_lo = np.where(live & (diff > 0), w_mid, w_lo)
+            w_hi = np.where(live & ~(diff > 0), w_mid, w_hi)
         else:
-            w[live] = lo   # 200 steps did not stop: lo spends >= P
-        buf = spent(w, la, Na, every)[0]
+            w[live] = w_lo[live]   # 200 steps did not stop: w_lo spends >= P
+        buf = spent(w)[0]
     filled = np.zeros(la.shape)
-    np.put_along_axis(filled, order[powered],
-                      np.where(ahead[powered], buf, 0.0), axis=1)
+    np.put_along_axis(filled, order[powered], np.where(ahead[powered], buf, 0),
+                      axis=1)
     # absorb the bisection residual so the allocation spends exactly P
     total = _row_sums(filled, _runs(lengths[powered]))
     if not np.isfinite(total).all():
         raise NoFeasibleWaterlevel("water-filled allocation is not finite: %s"
                                    % total[~np.isfinite(total)][0])
-    spends = total > 0.0
-    filled[spends] *= (P / total[spends])[:, None]
+    filled[total > 0] *= (P / total[total > 0])[:, None]
     per_mode[powered] = filled
     mu[powered] = [math.exp(x) for x in w]
     return per_mode, mu, powered
@@ -342,17 +298,16 @@ def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
     """Capacities of the rows of a zero-padded (rows, modes) table.
 
     Row i holds the transmissions lams[i, :lengths[i]]; `n` and `xi`
-    broadcast to `lams`.  `alloc` is "uniform", P/N photons on each of the
-    first N = n_signal[i] modes of each row, "waterfill", the optimal split
-    of diagonal_capacity, or a table of per-mode powers to evaluate.
-    Returns each row's bits, its per-mode powers (0 on the padding) and its
-    water level (NaN where it has none; None unless water-filled).
+    broadcast to `lams`.  `alloc` is "uniform" (P/N on each of the first
+    N = n_signal[i] modes), "waterfill" (diagonal_capacity's optimal split)
+    or a table of per-mode powers.  Returns each row's bits, its powers (0
+    on the padding) and, if water-filled, its water level (NaN if none).
     """
     width, runs = lams.shape[1], _runs(lengths)
     padding = (None if lengths.min() == width
                else np.arange(width) >= lengths[:, None])
     split = alloc if isinstance(alloc, str) else "given"
-    mu = None
+    mu = powered = None
     if split == "given":
         per_mode = alloc
     elif split == "uniform":
@@ -365,50 +320,29 @@ def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
     noise = _mode_noise(lams, n, xi, method, padding)
     if split == "waterfill" and method == "holevo":
         per_mode, mu, powered = _waterfill_holevo(lams, noise, lengths, P)
-        _check_split(per_mode, P, lengths, runs)
-        bits = np.zeros(len(lams))
-        if powered.any():
-            rates = mode_rates(lams, per_mode, noise, method)
-            bits[powered] = _row_sums(rates, runs)[powered]
-        return bits, per_mode, mu
-    if split == "waterfill":
-        d = _shannon_form(noise, method)[1]
+    elif split == "waterfill":
         with np.errstate(divide="ignore"):
-            floors = np.where(lams > 0, d / lams, np.inf)
+            floors = np.where(lams > 0,
+                              _shannon_form(noise, method)[1] / lams, np.inf)
         per_mode, mu = _waterfill_floors(floors, float(P))
+    if split == "waterfill":
         _check_split(per_mode, P, lengths, runs)
-    rates = mode_rates(lams, per_mode, noise, method)
-    return _row_sums(rates, runs), per_mode, mu
-
-
-def _row_capacity(lams, n, xi, P, method, alloc, n_signal=None):
-    """CapacityResult of _capacity_table for one row of modes `lams`, with
-    thermal photons `n` and additive noise `xi` given once or per mode."""
-    lams = np.asarray(lams, dtype=float).reshape(1, -1)
-    size = np.array([lams.size])
-    bits, per_mode, mu = _capacity_table(
-        lams, size, size if n_signal is None else np.array([n_signal]), n, xi,
-        P, method, alloc)
-    mu = None if mu is None or math.isnan(mu[0]) else float(mu[0])
-    return CapacityResult(float(bits[0]), _METHOD_NAMES.get(method, method),
-                          PowerAllocation(per_mode[0], float(P)), mu)
-
-
-def _triples(params):
-    """The lambda_k, n and xi columns of (lambda_k, n, xi) triples."""
-    arr = np.asarray(params, dtype=float).reshape(-1, 3)
-    return arr[:, 0], arr[:, 1], arr[:, 2]
+    if powered is not None and not powered.any():
+        return np.zeros(len(lams)), per_mode, mu
+    bits = _row_sums(mode_rates(lams, per_mode, noise, method), runs)
+    if powered is not None:
+        bits[~powered] = 0.0
+    return bits, per_mode, mu
 
 
 def _split_bits(params, alloc, method):
-    """Bits of the modes `params` under the PowerAllocation `alloc`."""
-    lams, n, xi = _triples(params)
+    """Bits of (lambda_k, n, xi) triples under the PowerAllocation `alloc`."""
+    lams, n, xi = np.asarray(params, dtype=float).reshape(-1, 3).T
     if alloc.per_mode.shape != lams.shape:
         raise ValueError("allocation length must match the number of modes")
     size = np.array([lams.size])
-    return float(_capacity_table(lams.reshape(1, -1), size, size, n, xi,
-                                 alloc.total, method,
-                                 alloc.per_mode.reshape(1, -1))[0][0])
+    return float(_capacity_table(lams[None], size, size, n, xi, alloc.total,
+                                 method, alloc.per_mode[None])[0][0])
 
 
 def holevo_diagonal(params, alloc):
@@ -446,20 +380,14 @@ def holevo_general(ch, V_mod):
 
 
 def waterfill_holevo(params, P):
-    """Optimal Holevo power allocation via quantum water-filling.
-
-    The power of each mode and the water level mu come from
-    _waterfill_holevo; chi is evaluated at that allocation.  Modes with
-    lambda_k = 0 carry no power and no information.
-    """
+    """Optimal Holevo power allocation via quantum water-filling
+    (_waterfill_holevo), and chi at that allocation."""
     return diagonal_capacity(params, P, "holevo", "waterfill", None)
 
 
 def het_hom_per_mode(params, alloc, kind):
-    """Heterodyne or homodyne capacity of parallel single-mode channels.
-
-    The sum over modes of the het or hom rate of mode_rates.
-    """
+    """Heterodyne or homodyne capacity of parallel single-mode channels:
+    the sum over modes of the het or hom rate of mode_rates."""
     if kind not in _METHOD_NAMES:
         raise ValueError("kind must be 'het' or 'hom'")
     return _split_bits(params, alloc, kind)
@@ -545,7 +473,8 @@ def asymptotic_limits(P, kind):
 def classical_capacity(lambdas, xi, P):
     """Water-filled classical Shannon capacity of parallel channels with
     additive noise xi."""
-    return _row_capacity(lambdas, 0.0, xi, P, "classical", "waterfill")
+    return diagonal_capacity([(lam, 0.0, xi) for lam in np.ravel(lambdas)], P,
+                             "classical", "waterfill", None)
 
 
 def diagonal_capacity(params, P, method, alloc, n_signal):
@@ -568,9 +497,16 @@ def diagonal_capacity(params, P, method, alloc, n_signal):
         classical: f_k = xi_k / lambda_k
 
     A mode with lambda_k = 0 has an infinite floor and gets no power.  This
-    is the one-row case of the table engine _capacity_table.
+    is the one-row case of _capacity_table.
     """
-    return _row_capacity(*_triples(params), P, method, alloc, n_signal)
+    lams, n, xi = np.asarray(params, dtype=float).reshape(-1, 3).T
+    size = np.array([lams.size])
+    bits, per_mode, mu = _capacity_table(
+        lams[None], size, size if n_signal is None else np.array([n_signal]),
+        n, xi, P, method, alloc)
+    mu = None if mu is None or math.isnan(mu[0]) else float(mu[0])
+    return CapacityResult(float(bits[0]), _METHOD_NAMES.get(method, method),
+                          PowerAllocation(per_mode[0], float(P)), mu)
 
 
 def _channel_capacity(ch, P, method, alloc):

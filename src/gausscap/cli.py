@@ -164,62 +164,33 @@ def _rule(text):
     return text
 
 
-def _eval_node(node, names, faults):
-    """Value of a rule's syntax tree; `names` maps to float64 scalars or
-    arrays of one shape.
+def _eval_node(node, names, expr):
+    """Value of a rule's syntax tree; `names` maps to floats or float arrays.
 
     The operations are float64 + - * / in the tree's order, so an array
     argument gives, elementwise, the same bits as the scalar evaluations.
-    A division by zero or an unsupported token does not raise: it appends
-    its message and where it happened to `faults`, in the order that an
-    evaluation at one point meets them.
     """
     if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
-        left = _eval_node(node.left, names, faults)
-        right = _eval_node(node.right, names, faults)
+        left = _eval_node(node.left, names, expr)
+        right = _eval_node(node.right, names, expr)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
             return left * right
-        faults.append(("division by zero in rule %r", right == 0))
+        if np.any(right == 0):
+            raise ValueError("division by zero in rule %r" % expr)
         return left / right
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        return (_eval_node(node.operand, names, faults)
+        return (_eval_node(node.operand, names, expr)
                 * (-1.0 if isinstance(node.op, ast.USub) else 1.0))
     if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
             and not isinstance(node.value, bool)):
-        return np.float64(node.value)
+        return float(node.value)
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
-    faults.append(("unsupported token in rule %r", True))
-    return np.float64(math.nan)
-
-
-def _rule_values(expr, **names):
-    """A rule over float64 scalars or equal-shape arrays, elementwise.
-
-    Every point is evaluated at once.  A division by zero, an unsupported
-    token or a non-finite value raises ValueError; the message is the one
-    that evaluating the points one by one, in order, would raise first.
-    """
-    faults = []
-    with np.errstate(all="ignore"):
-        value = _eval_node(_rule_tree(expr), names, faults)
-    shape = np.broadcast_shapes(*(np.shape(v) for v in names.values()))
-    value = np.broadcast_to(value, shape)
-    failed = ~np.isfinite(value)
-    for _, where in faults:
-        failed = failed | where
-    if failed.any():
-        first = np.flatnonzero(failed)[0]
-        for message, where in faults:
-            if np.broadcast_to(where, shape).flat[first]:
-                raise ValueError(message % expr)
-        raise ValueError("rule %r is not finite: %r"
-                         % (expr, float(value.flat[first])))
-    return value
+    raise ValueError("unsupported token in rule %r" % expr)
 
 
 def eval_rule(expr, **names):
@@ -229,13 +200,30 @@ def eval_rule(expr, **names):
     per-mode transmission rules like "0.2+0.7*k/N".  A division by zero or a
     non-finite result raises ValueError.
     """
-    return float(_rule_values(
-        expr, **{name: np.float64(value) for name, value in names.items()}))
+    return float(_rule_values(expr, **{name: float(value)
+                                       for name, value in names.items()}))
+
+
+def _rule_values(expr, **names):
+    """eval_rule over floats or float arrays of one shape, elementwise, in
+    one pass.  A division by zero anywhere raises as eval_rule does; else
+    the first non-finite value in order raises eval_rule's message."""
+    shape = np.broadcast_shapes(*(np.shape(v) for v in names.values()))
+    if not math.prod(shape):
+        return np.zeros(shape)
+    with np.errstate(all="ignore"):
+        value = np.broadcast_to(_eval_node(_rule_tree(expr), names, expr),
+                                shape)
+    bad = np.flatnonzero(~np.isfinite(value))
+    if bad.size:
+        raise ValueError("rule %r is not finite: %r"
+                         % (expr, float(value.flat[bad[0]])))
+    return value
 
 
 def _rule_array(expr, N):
     """[eval_rule(expr, k=k, N=N) for k in 1..N] as one float64 array."""
-    return _rule_values(expr, k=np.arange(1.0, N + 1), N=np.float64(N))
+    return _rule_values(expr, k=np.arange(1.0, N + 1), N=float(N))
 
 
 def _mode_count(rule, N, flag):
@@ -322,8 +310,9 @@ def cmd_capacity(args, parser):
         if lams.min() < 0:
             raise ValueError("transmissions must be nonnegative")
         alloc = args.alloc or "waterfill"
-        res = capacity._row_capacity(lams, args.n, args.xi, args.power,
-                                     args.method, alloc)
+        res = capacity.diagonal_capacity(
+            np.column_stack(np.broadcast_arrays(lams, args.n, args.xi)),
+            args.power, args.method, alloc, lams.size)
     per_mode = [] if res.allocation is None else res.allocation.per_mode
     mu = res.waterlevel
     report = {
@@ -341,34 +330,32 @@ def cmd_capacity(args, parser):
 
 
 def cmd_sweep_modes(args, parser):
+    # the rule at every (N, k) pair, k = 1..N, in one evaluation; row i of a
+    # zero-padded table holds the modes of the i-th N, and a long range is
+    # cut into tables of at most 2^18 cells
     Ns = np.array(args.N_range)
-    # the rule at every (N, k) pair in order, N = Ns[i] and k = 1..N, at once
     starts = np.cumsum(Ns) - Ns
-    flat = _rule_values(
-        args.lambdas_rule, N=np.repeat(Ns, Ns).astype(float),
-        k=np.arange(1.0, Ns.sum() + 1) - np.repeat(starts, Ns))
+    flat = _rule_values(args.lambdas_rule, N=np.repeat(Ns, Ns).astype(float),
+                        k=np.arange(1.0, Ns.sum() + 1) - np.repeat(starts, Ns))
     if flat.min() < 0:
         raise ValueError("transmissions must be nonnegative")
-    # row i of a zero-padded table holds the Ns[i] modes of N = Ns[i]; a
-    # long range is cut into tables of at most 2^18 cells
     step = max(1, (1 << 18) // Ns.max())
-    bits = {}
-    for rows in (slice(i, i + step) for i in range(0, len(Ns), step)):
-        inside = np.arange(Ns[rows].max()) < Ns[rows, None]
+    bits = {(method, alloc): [] for method in args.methods
+            for alloc in args.allocs}
+    for i in range(0, len(Ns), step):
+        rows = Ns[i:i + step]
+        inside = np.arange(rows.max()) < rows[:, None]
         lams = np.zeros(inside.shape)
-        lams[inside] = flat[starts[rows][0]:][:inside.sum()]
-        for method in args.methods:
-            for alloc in args.allocs:
-                bits.setdefault((method, alloc), []).extend(
-                    capacity._capacity_table(lams, Ns[rows], Ns[rows], args.n,
-                                             args.xi, args.power, method,
-                                             alloc)[0])
-    lines = ["N,method,alloc,bits"]
-    for i, N in enumerate(args.N_range):
-        for method in args.methods:
-            for alloc in args.allocs:
-                lines.append("%d,%s,%s,%s" % (N, method, alloc, _fmt(
-                    _finite_result(bits[method, alloc][i]))))
+        lams[inside] = flat[starts[i]:starts[i] + rows.sum()]
+        for (method, alloc), out in bits.items():
+            out.extend(capacity._capacity_table(lams, rows, rows, args.n,
+                                                args.xi, args.power, method,
+                                                alloc)[0])
+    lines = ["N,method,alloc,bits"] + [
+        "%d,%s,%s,%s" % (N, method, alloc,
+                         _fmt(_finite_result(bits[method, alloc][i])))
+        for i, N in enumerate(args.N_range) for method in args.methods
+        for alloc in args.allocs]
     _emit("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 

@@ -1,6 +1,6 @@
 """The per-row capacity path of gausscap.capacity before the table engine.
 
-A verbatim copy of _Modes, _modes, _checked_noise, _rate_noise,
+A verbatim copy of uniform_allocation, _Modes, _modes, _checked_noise, _rate_noise,
 _diagonal_bits, waterfill_holevo, _waterfill_floors, diagonal_capacity and
 the Monte Carlo driver's _passive_bits as they evaluated one configuration at a time, with module
 names qualified.
@@ -18,13 +18,24 @@ from gausscap.capacity import (
     _shannon_form,
     mode_rates,
     noise_photons,
-    uniform_allocation,
 )
 from gausscap.errors import (
     NegativeEntropyArgument,
     NoFeasibleWaterlevel,
     ZeroNoiseClassical,
 )
+
+
+def uniform_allocation(n_modes, P, n_signal_modes=None):
+    """P/N photons on each of the first min(n_modes, N) singular modes.
+
+    `n_signal_modes` defaults to n_modes; pass the channel's input mode count
+    when the params list carries extra zero-transmission output modes.
+    """
+    N = n_modes if n_signal_modes is None else n_signal_modes
+    per_mode = np.zeros(n_modes)
+    per_mode[: min(n_modes, N)] = P / N
+    return PowerAllocation(per_mode, P)
 
 
 class _Modes:

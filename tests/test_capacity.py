@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import reference_capacity as ref
+from reference_capacity import uniform_allocation
 from gausscap import capacity as cap
 from gausscap.capacity import PowerAllocation
 from gausscap.channels import GaussianChannel, NoiseParams, block_form_channel
@@ -44,11 +45,17 @@ def test_noise_photons():
     assert cap.noise_photons(np.array([1.0]), 0.0, 0.0)[0] == 0.0
 
 
+def uniform_split(modes, P, n_signal):
+    """The uniform allocation of diagonal_capacity over identity modes."""
+    return cap.diagonal_capacity([(1.0, 0.0, 0.0)] * modes, P, "het",
+                                 "uniform", n_signal).allocation
+
+
 def test_uniform_allocation():
-    a = cap.uniform_allocation(3, 9.0)
+    a = uniform_split(3, 9.0, 3)
     assert np.allclose(a.per_mode, [3.0, 3.0, 3.0])
     # receivers beyond the transmitter count carry no power
-    b = cap.uniform_allocation(3, 8.0, n_signal_modes=2)
+    b = uniform_split(3, 8.0, 2)
     assert np.allclose(b.per_mode, [4.0, 4.0, 0.0])
 
 
@@ -64,7 +71,7 @@ def test_uniform_split_of_a_large_budget_is_accepted(P):
     # N copies of P/N sum to P plus a few ulps of P, which the budget test
     # must forgive however large P is
     for modes in range(1, 65):
-        a = cap.uniform_allocation(modes, P)
+        a = uniform_split(modes, P, modes)
         assert a.total == P
 
 
@@ -117,7 +124,7 @@ class TestHolevo:
                                                    rng.uniform(0, 0.3)))
             params = diagonal_channel_params(ch)
             P = float(rng.uniform(0.5, 20.0))
-            a = cap.uniform_allocation(len(params), P, n_signal_modes=n)
+            a = uniform_allocation(len(params), P, n_signal_modes=n)
             diag = cap.holevo_diagonal(params, a)
             general = cap.holevo_general(ch, (P / n) * np.eye(2 * n))
             assert general == pytest.approx(diag, abs=1e-8)
@@ -179,7 +186,7 @@ class TestQuantumWaterfilling:
             params = random_params(rng)
             P = float(rng.uniform(0.5, 25.0))
             res = cap.waterfill_holevo(params, P)
-            uni = cap.holevo_diagonal(params, cap.uniform_allocation(3, P))
+            uni = cap.holevo_diagonal(params, uniform_allocation(3, P))
             assert res.bits >= uni - 1e-9
 
     @pytest.mark.parametrize("P", [0.3, 1.0, 7.0])
@@ -189,7 +196,7 @@ class TestQuantumWaterfilling:
         # level; one mode must still get all of P, as under the uniform split
         res = cap.waterfill_holevo([(lam, 0.0, 0.0)], P)
         uni = cap.holevo_diagonal([(lam, 0.0, 0.0)],
-                                  cap.uniform_allocation(1, P))
+                                  uniform_allocation(1, P))
         assert res.bits > 0
         assert res.bits == pytest.approx(uni, rel=1e-15, abs=0)
         assert res.allocation.per_mode[0] == pytest.approx(P, rel=1e-15,
@@ -199,7 +206,7 @@ class TestQuantumWaterfilling:
     def test_unconverged_modes_spend_the_budget(self, P):
         params = [(1e-100 * k, 0.0, 0.0) for k in (1, 2, 3)]
         res = cap.waterfill_holevo(params, P)
-        uni = cap.holevo_diagonal(params, cap.uniform_allocation(3, P))
+        uni = cap.holevo_diagonal(params, uniform_allocation(3, P))
         assert res.allocation.per_mode.sum() == pytest.approx(P, rel=1e-12)
         assert res.bits >= uni > 0
 
@@ -554,7 +561,7 @@ class TestHetHom:
                 params = random_params(rng)
                 P = float(rng.uniform(0.5, 25.0))
                 res = cap.waterfill_het_hom(params, P, kind)
-                uni = cap.het_hom_per_mode(params, cap.uniform_allocation(3, P),
+                uni = cap.het_hom_per_mode(params, uniform_allocation(3, P),
                                            kind)
                 assert res.bits >= uni - 1e-9
 
@@ -570,7 +577,7 @@ class TestGeneralForms:
                                                    rng.uniform(0, 0.2)))
             params = diagonal_channel_params(ch)
             P = float(rng.uniform(1.0, 20.0))
-            ref = cap.het_hom_per_mode(params, cap.uniform_allocation(n, P),
+            ref = cap.het_hom_per_mode(params, uniform_allocation(n, P),
                                        "het")
             got = cap.het_hom_general(ch, (P / n) * np.eye(2 * n), "het")
             assert got == pytest.approx(ref, abs=1e-9)
@@ -636,7 +643,7 @@ class TestGeneralForms:
                                                    rng.uniform(0, 0.2)))
             params = diagonal_channel_params(ch)
             P = float(rng.uniform(1.0, 20.0))
-            ref = cap.het_hom_per_mode(params, cap.uniform_allocation(n, P),
+            ref = cap.het_hom_per_mode(params, uniform_allocation(n, P),
                                        "hom")
             got = cap.hom_general_aligned(ch, P)
             assert got == pytest.approx(ref, abs=1e-9)
@@ -671,7 +678,7 @@ class TestAsymptotics:
         P = 15.0
         for N in (64, 256, 1024, 4096):
             params = [(1.0, 0.0, 0.0)] * N
-            bits = cap.het_hom_per_mode(params, cap.uniform_allocation(N, P),
+            bits = cap.het_hom_per_mode(params, uniform_allocation(N, P),
                                         "het")
             gap = cap.asymptotic_limits(P, "het") - bits
             assert 0 < gap < 1.1 * P * P / (2 * N * math.log(2))
@@ -681,7 +688,7 @@ class TestAsymptotics:
         gaps = []
         for N in (512, 1024, 2048, 4096):
             params = [(1.0, 0.0, 0.0)] * N
-            bits = cap.het_hom_per_mode(params, cap.uniform_allocation(N, P),
+            bits = cap.het_hom_per_mode(params, uniform_allocation(N, P),
                                         "hom")
             gaps.append(cap.asymptotic_limits(P, "hom") - bits)
         for wide, narrow in zip(gaps, gaps[1:]):
@@ -690,7 +697,7 @@ class TestAsymptotics:
     def test_hom_4096_closed_form(self):
         # (N/2) log2(1 + 4P/N) evaluated exactly at N=4096, P=15
         params = [(1.0, 0.0, 0.0)] * 4096
-        bits = cap.het_hom_per_mode(params, cap.uniform_allocation(4096, 15.0),
+        bits = cap.het_hom_per_mode(params, uniform_allocation(4096, 15.0),
                                     "hom")
         assert bits == pytest.approx(42.96691487582571, abs=1e-10)
 
