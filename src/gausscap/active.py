@@ -142,10 +142,8 @@ def mc_capacity_active(spec, P, method, samples, seed=None, threads=None,
         # receiver modes beyond N have lambda = 0 and carry exactly 0 bits,
         # so each sample's row holds its min(K, N) transmissions
         lams = passive_transmissions(spec, samples, seed)
-        rows = np.full(samples, lams.shape[1])
-        bits = _capacity_table(lams, rows, np.full(samples, spec.N),
-                               spec.noise.n, spec.noise.xi, P, method,
-                               "uniform")[0]
+        bits = _capacity_table(lams, lams.shape[1], spec.N, spec.noise.n,
+                               spec.noise.xi, P, method, "uniform")[0]
         max_sq = lams[:, 0]
     else:
         _check_receivers(spec, allow_rect)

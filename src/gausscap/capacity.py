@@ -126,7 +126,7 @@ def _runs(lengths):
     """(start, stop, length) of each run of consecutive rows of one length."""
     cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1),
             len(lengths)]
-    return [(start, stop, lengths[start]) for start, stop in zip(cuts, cuts[1:])]
+    return [(a, b, lengths[a]) for a, b in zip(cuts, cuts[1:])]
 
 
 def _row_sums(table, runs):
@@ -238,11 +238,10 @@ def _waterfill_holevo(lams, Nk, lengths, P):
     Na = np.where(ahead, np.take_along_axis(Nk, order, axis=1), 0.0)
     mu, per_mode = np.full(len(lams), np.nan), np.zeros(lams.shape)
     powered = (counts > 0) & (P > 0)
-    if P == 0 and counts.any():
-        idle = counts > 0
+    if P == 0:   # the level where the best mode of each row turns on
         with np.errstate(divide="ignore"):
-            thresholds = (1.0 + 1.0 / Na[idle]) ** la[idle]
-        mu[idle] = np.where(ahead[idle], thresholds, -np.inf).max(axis=1)
+            on = np.where(ahead, (1.0 + 1.0 / Na) ** la, -np.inf).max(axis=1)
+        mu[counts > 0] = on[counts > 0]
     if not powered.any():
         return per_mode, mu, powered
     la, Na, runs = la[powered], Na[powered], _runs(counts[powered])
@@ -297,22 +296,24 @@ def _waterfill_holevo(lams, Nk, lengths, P):
 def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
     """Capacities of the rows of a zero-padded (rows, modes) table.
 
-    Row i holds the transmissions lams[i, :lengths[i]]; `n` and `xi`
-    broadcast to `lams`.  `alloc` is "uniform" (P/N on each of the first
-    N = n_signal[i] modes), "waterfill" (diagonal_capacity's optimal split)
-    or a table of per-mode powers.  Returns each row's bits, its powers (0
-    on the padding) and, if water-filled, its water level (NaN if none).
+    Row i holds the transmissions lams[i, :lengths[i]]; `lengths` and
+    `n_signal` are per row or shared, and `n` and `xi` broadcast to `lams`.
+    `alloc` is "uniform" (P/N on each of the first N = n_signal[i] modes),
+    "waterfill" (diagonal_capacity's optimal split) or a table of per-mode
+    powers.  Returns each row's bits, its powers (0 on the padding) and, if
+    water-filled, its water level (NaN if none).
     """
+    lengths, n_signal = (np.broadcast_to(v, len(lams))
+                         for v in (lengths, n_signal))
     width, runs = lams.shape[1], _runs(lengths)
-    padding = (None if lengths.min() == width
-               else np.arange(width) >= lengths[:, None])
+    modes = np.arange(width)
+    padding = None if lengths.min() == width else modes >= lengths[:, None]
     split = alloc if isinstance(alloc, str) else "given"
     mu = powered = None
     if split == "given":
         per_mode = alloc
     elif split == "uniform":
-        signal = np.minimum(lengths, n_signal)[:, None]
-        per_mode = np.where(np.arange(width) < signal,
+        per_mode = np.where(modes < np.minimum(lengths, n_signal)[:, None],
                             P / n_signal[:, None], 0.0)
         _check_split(per_mode, P, lengths, runs)
     elif P < 0:
@@ -327,11 +328,11 @@ def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
         per_mode, mu = _waterfill_floors(floors, float(P))
     if split == "waterfill":
         _check_split(per_mode, P, lengths, runs)
-    if powered is not None and not powered.any():
-        return np.zeros(len(lams)), per_mode, mu
-    bits = _row_sums(mode_rates(lams, per_mode, noise, method), runs)
+    bits = np.zeros(len(lams))
+    if powered is None or powered.any():
+        bits = _row_sums(mode_rates(lams, per_mode, noise, method), runs)
     if powered is not None:
-        bits[~powered] = 0.0
+        bits[~powered] = 0.0   # a Holevo row without power carries nothing
     return bits, per_mode, mu
 
 
@@ -340,9 +341,9 @@ def _split_bits(params, alloc, method):
     lams, n, xi = np.asarray(params, dtype=float).reshape(-1, 3).T
     if alloc.per_mode.shape != lams.shape:
         raise ValueError("allocation length must match the number of modes")
-    size = np.array([lams.size])
-    return float(_capacity_table(lams[None], size, size, n, xi, alloc.total,
-                                 method, alloc.per_mode[None])[0][0])
+    return float(_capacity_table(lams[None], lams.size, lams.size, n, xi,
+                                 alloc.total, method,
+                                 alloc.per_mode[None])[0][0])
 
 
 def holevo_diagonal(params, alloc):
@@ -500,9 +501,8 @@ def diagonal_capacity(params, P, method, alloc, n_signal):
     is the one-row case of _capacity_table.
     """
     lams, n, xi = np.asarray(params, dtype=float).reshape(-1, 3).T
-    size = np.array([lams.size])
     bits, per_mode, mu = _capacity_table(
-        lams[None], size, size if n_signal is None else np.array([n_signal]),
+        lams[None], lams.size, lams.size if n_signal is None else n_signal,
         n, xi, P, method, alloc)
     mu = None if mu is None or math.isnan(mu[0]) else float(mu[0])
     return CapacityResult(float(bits[0]), _METHOD_NAMES.get(method, method),

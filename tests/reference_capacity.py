@@ -1,10 +1,13 @@
 """The per-row capacity path of gausscap.capacity before the table engine.
 
-A verbatim copy of uniform_allocation, _Modes, _modes, _checked_noise, _rate_noise,
-_diagonal_bits, waterfill_holevo, _waterfill_floors, diagonal_capacity and
-the Monte Carlo driver's _passive_bits as they evaluated one configuration at a time, with module
-names qualified.
-The tests compare the engine's rows with it bit for bit.
+A verbatim copy of uniform_allocation, _Modes, _modes, _checked_noise,
+_rate_noise, _diagonal_bits, waterfill_holevo, _waterfill_floors,
+diagonal_capacity and the Monte Carlo driver's _passive_bits as they
+evaluated one configuration at a time, with module names qualified; only
+the split of _waterfill_floors follows the engine's stable form.  The
+tests compare the engine's rows with it bit for bit, on rows that share one
+xi: _rate_noise takes the classical noise from the first mode, where the
+engine takes each mode's own.
 """
 
 import math
