@@ -303,11 +303,14 @@ def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
     powers.  Returns each row's bits, its powers (0 on the padding) and, if
     water-filled, its water level (NaN if none).
     """
-    lengths, n_signal = (np.broadcast_to(v, len(lams))
+    # a shared count becomes one per row
+    lengths, n_signal = (np.zeros(len(lams), dtype=int) + v
                          for v in (lengths, n_signal))
-    width, runs = lams.shape[1], _runs(lengths)
-    modes = np.arange(width)
-    padding = None if lengths.min() == width else modes >= lengths[:, None]
+    width, modes = lams.shape[1], np.arange(lams.shape[1])
+    shortest = lengths.min()
+    runs = ([(0, len(lams), shortest)] if shortest == lengths.max()
+            else _runs(lengths))
+    padding = None if shortest == width else modes >= lengths[:, None]
     split = alloc if isinstance(alloc, str) else "given"
     mu = powered = None
     if split == "given":

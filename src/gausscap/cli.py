@@ -200,14 +200,17 @@ def eval_rule(expr, **names):
     per-mode transmission rules like "0.2+0.7*k/N".  A division by zero or a
     non-finite result raises ValueError.
     """
-    return float(_rule_values(expr, **{name: float(value)
-                                       for name, value in names.items()}))
+    values = {name: float(value) for name, value in names.items()}
+    value = _eval_node(_rule_tree(expr), values, expr)
+    if not math.isfinite(value):
+        raise ValueError("rule %r is not finite: %r" % (expr, value))
+    return value
 
 
 def _rule_values(expr, **names):
-    """eval_rule over floats or float arrays of one shape, elementwise, in
-    one pass.  A division by zero anywhere raises as eval_rule does; else
-    the first non-finite value in order raises eval_rule's message."""
+    """eval_rule over float arrays of one shape, elementwise, in one pass.
+    A division by zero anywhere raises as eval_rule does; else the first
+    non-finite value in order raises eval_rule's message."""
     shape = np.broadcast_shapes(*(np.shape(v) for v in names.values()))
     if not math.prod(shape):
         return np.zeros(shape)
