@@ -132,6 +132,8 @@ def _runs(lengths):
 def _row_sums(table, runs):
     """Each row of `table` summed over its own length, one call per run of
     _runs."""
+    if len(runs) == 1:
+        return np.add.reduce(table[:, :runs[0][2]], axis=1)
     sums = np.empty(len(table))
     for start, stop, length in runs:
         sums[start:stop] = np.add.reduce(table[start:stop, :length], axis=1)
@@ -269,13 +271,14 @@ def _waterfill_holevo(lams, Nk, lengths, P):
         for _ in range(200):
             w_mid = 0.5 * (w_lo + w_hi)
             diff = spent(w_mid)[1] - P
-            done = live & (np.abs(diff) <= target_tol)
-            w[done] = w_mid[done]
-            live = live & ~done
-            if not live.any():
-                break
-            w_lo = np.where(live & (diff > 0), w_mid, w_lo)
-            w_hi = np.where(live & ~(diff > 0), w_mid, w_hi)
+            stops = live & (np.abs(diff) <= target_tol)
+            if stops.any():
+                w[stops], live = w_mid[stops], live & ~stops
+                if not live.any():
+                    break
+            # a stopped row bisects on unseen: only w[live] is read later
+            over = diff > 0
+            w_lo, w_hi = np.where(over, w_mid, w_lo), np.where(over, w_hi, w_mid)
         else:
             w[live] = w_lo[live]   # 200 steps did not stop: w_lo spends >= P
         buf = spent(w)[0]
