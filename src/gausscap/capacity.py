@@ -162,12 +162,11 @@ def _check_split(per_mode, total, lengths, runs):
 
 def _mode_noise(lams, n, xi, method, padding):
     """mode_rates' noise argument over the table: the noise photons N_k (0
-    on the padding), or for classical each mode's additive noise xi_k (1 on
-    the padding; no N_k computed)."""
+    on the padding), or for classical each mode's additive noise xi_k (no
+    N_k computed; xi is given per row or per mode, so its padding holds a
+    row's own value)."""
     if method == "classical":
         xi = np.broadcast_to(xi, lams.shape)
-        if padding is not None:
-            xi = np.where(padding, 1.0, xi)
         if (xi <= 0).any():
             raise ZeroNoiseClassical("classical capacity requires xi > 0")
         return xi
@@ -267,7 +266,7 @@ def _waterfill_holevo(lams, Nk, lengths, P):
         while high.any():
             high = high & (spent(w_hi)[1] > P)
             w_hi[high] *= 2.0
-        w = w_lo.copy()
+        w = np.empty(len(la))
         for _ in range(200):
             w_mid = 0.5 * (w_lo + w_hi)
             diff = spent(w_mid)[1] - P
