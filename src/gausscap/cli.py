@@ -164,33 +164,37 @@ def _rule(text):
     return text
 
 
-def _eval_node(node, names, expr):
+def _eval_node(node, names, faults):
     """Value of a rule's syntax tree; `names` maps to floats or float arrays.
 
     The operations are float64 + - * / in the tree's order, so an array
     argument gives, elementwise, the same bits as the scalar evaluations.
+    A division by zero or an unsupported token does not stop the evaluation:
+    it appends its message and where it occurred to `faults`, in the order
+    in which an evaluation at one point meets them.
     """
     if isinstance(node, ast.BinOp) and type(node.op) in _RULE_OPS:
-        left = _eval_node(node.left, names, expr)
-        right = _eval_node(node.right, names, expr)
+        left = _eval_node(node.left, names, faults)
+        right = _eval_node(node.right, names, faults)
         if isinstance(node.op, ast.Add):
             return left + right
         if isinstance(node.op, ast.Sub):
             return left - right
         if isinstance(node.op, ast.Mult):
             return left * right
-        if np.any(right == 0):
-            raise ValueError("division by zero in rule %r" % expr)
-        return left / right
+        zero = right == 0
+        faults.append(("division by zero in rule %r", zero))
+        return math.nan if zero is True else left / right
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
-        return (_eval_node(node.operand, names, expr)
+        return (_eval_node(node.operand, names, faults)
                 * (-1.0 if isinstance(node.op, ast.USub) else 1.0))
     if (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
             and not isinstance(node.value, bool)):
         return float(node.value)
     if isinstance(node, ast.Name) and node.id in names:
         return names[node.id]
-    raise ValueError("unsupported token in rule %r" % expr)
+    faults.append(("unsupported token in rule %r", True))
+    return math.nan
 
 
 def eval_rule(expr, **names):
@@ -200,8 +204,12 @@ def eval_rule(expr, **names):
     per-mode transmission rules like "0.2+0.7*k/N".  A division by zero or a
     non-finite result raises ValueError.
     """
-    values = {name: float(value) for name, value in names.items()}
-    value = _eval_node(_rule_tree(expr), values, expr)
+    faults = []
+    value = _eval_node(_rule_tree(expr),
+                       {name: float(v) for name, v in names.items()}, faults)
+    for message, where in faults:
+        if where:
+            raise ValueError(message % expr)
     if not math.isfinite(value):
         raise ValueError("rule %r is not finite: %r" % (expr, value))
     return value
@@ -209,18 +217,28 @@ def eval_rule(expr, **names):
 
 def _rule_values(expr, **names):
     """eval_rule over float arrays of one shape, elementwise, in one pass.
-    A division by zero anywhere raises as eval_rule does; else the first
-    non-finite value in order raises eval_rule's message."""
+
+    A failure raises the message that evaluating the points one by one, in
+    order, would raise first: that of the first fault or non-finite value
+    at the first point that has one.
+    """
     shape = np.broadcast_shapes(*(np.shape(v) for v in names.values()))
     if not math.prod(shape):
         return np.zeros(shape)
+    faults = []
     with np.errstate(all="ignore"):
-        value = np.broadcast_to(_eval_node(_rule_tree(expr), names, expr),
+        value = np.broadcast_to(_eval_node(_rule_tree(expr), names, faults),
                                 shape)
-    bad = np.flatnonzero(~np.isfinite(value))
-    if bad.size:
+    failed = ~np.isfinite(value)
+    for _, where in faults:
+        failed = failed | where
+    if failed.any():
+        first = np.flatnonzero(failed)[0]
+        for message, where in faults:
+            if np.broadcast_to(where, shape).flat[first]:
+                raise ValueError(message % expr)
         raise ValueError("rule %r is not finite: %r"
-                         % (expr, float(value.flat[bad[0]])))
+                         % (expr, float(value.flat[first])))
     return value
 
 

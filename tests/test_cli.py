@@ -923,7 +923,8 @@ class TestRuleValues:
 
     @pytest.mark.parametrize("expr", ["1/(k-2)", "q+1", "1e307*k",
                                       "1/(1/(k-3))", "1e308*k*10-1e308*k*10",
-                                      "k**2", "(k"])
+                                      "k**2", "(k", "1e308*k*10+1/(k-5)",
+                                      "1/(k-2)+q", "1/(k-1)+q", "1/(N-N)+k"])
     def test_errors_match_the_scalar_rule(self, expr, capsys):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
