@@ -12,7 +12,9 @@ from reference_capacity import uniform_allocation
 from gausscap import capacity as cap
 from gausscap.capacity import PowerAllocation
 from gausscap.channels import GaussianChannel, NoiseParams, block_form_channel
+from gausscap.cli import _rule_array
 from gausscap.decomposition import diagonal_channel_params
+from gausscap.ensembles import EnsembleSpec, passive_transmissions
 from gausscap.errors import (
     NegativeEntropyArgument,
     NoFeasibleWaterlevel,
@@ -773,7 +775,6 @@ def _assert_rows_match_reference(lams, lengths, n_signal, n, xi, P, method,
                                       (1e4, 0.0, 0.1), (15.0, 0.0, 0.1),
                                       (0.0, 0.3, 0.1)])
 def test_engine_rows_on_the_golden_rules(rule, P, n, xi):
-    from gausscap.cli import _rule_array
     Ns = np.arange(1, 25)
     lams, lengths = _table([_rule_array(rule, N) for N in Ns])
     for method, alloc in METHOD_ALLOCS:
@@ -824,8 +825,6 @@ def test_engine_rows_on_random_tables():
 @pytest.mark.parametrize("method", ["holevo", "het", "hom"])
 def test_engine_reduces_a_passive_table_as_the_monte_carlo_driver_did(
         N, K, M, method):
-    from gausscap.channels import NoiseParams
-    from gausscap.ensembles import EnsembleSpec, passive_transmissions
     spec = EnsembleSpec(N=N, K=K, M=M, noise=NoiseParams(0.3, 0.1), seed=5)
     lams = passive_transmissions(spec, 200 if N < 100 else 8)
     rows = np.full(len(lams), lams.shape[1])
