@@ -351,23 +351,23 @@ def cmd_capacity(args, parser):
 
 
 def cmd_sweep_modes(args, parser):
-    # the rule at every (N, k) pair, k = 1..N, in one evaluation; row i of a
-    # zero-padded table holds the modes of the i-th N, and a long range is
-    # cut into tables of at most 2^18 cells
+    # row i of a zero-padded table holds the modes of the i-th N, from one
+    # evaluation of the rule over the table's (N, k) pairs in order; a long
+    # range is cut into tables of at most 2^18 cells
     Ns = np.array(args.N_range)
-    starts = np.cumsum(Ns) - Ns
-    flat = _rule_values(args.lambdas_rule, N=np.repeat(Ns, Ns).astype(float),
-                        k=np.arange(1.0, Ns.sum() + 1) - np.repeat(starts, Ns))
-    if flat.min() < 0:
-        raise ValueError("transmissions must be nonnegative")
     step = max(1, (1 << 18) // Ns.max())
     bits = {(method, alloc): [] for method in args.methods
             for alloc in args.allocs}
     for i in range(0, len(Ns), step):
         rows = Ns[i:i + step]
-        inside = np.arange(rows.max()) < rows[:, None]
+        k = np.arange(1.0, rows.max() + 1)
+        inside = k <= rows[:, None]
         lams = np.zeros(inside.shape)
-        lams[inside] = flat[starts[i]:starts[i] + rows.sum()]
+        lams[inside] = _rule_values(args.lambdas_rule,
+                                    N=np.repeat(rows, rows).astype(float),
+                                    k=np.broadcast_to(k, inside.shape)[inside])
+        if lams.min() < 0:
+            raise ValueError("transmissions must be nonnegative")
         for (method, alloc), out in bits.items():
             out.extend(capacity._capacity_table(lams, rows, rows, args.n,
                                                 args.xi, args.power, method,
