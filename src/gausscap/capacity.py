@@ -124,6 +124,8 @@ def mode_rates(lams, P, noise, method):
 
 def _runs(lengths):
     """(start, stop, length) of each run of consecutive rows of one length."""
+    if lengths.min() == lengths.max():
+        return [(0, len(lengths), lengths[0])]
     cuts = [0, *(np.flatnonzero(lengths[1:] != lengths[:-1]) + 1),
             len(lengths)]
     return [(a, b, lengths[a]) for a, b in zip(cuts, cuts[1:])]
@@ -277,7 +279,8 @@ def _waterfill_holevo(lams, Nk, lengths, P):
                     break
             # a stopped row bisects on unseen: only w[live] is read later
             over = diff > 0
-            w_lo, w_hi = np.where(over, w_mid, w_lo), np.where(over, w_hi, w_mid)
+            w_lo = np.where(over, w_mid, w_lo)
+            w_hi = np.where(over, w_hi, w_mid)
         else:
             w[live] = w_lo[live]   # 200 steps did not stop: w_lo spends >= P
         buf = spent(w)[0]
@@ -308,11 +311,9 @@ def _capacity_table(lams, lengths, n_signal, n, xi, P, method, alloc):
     # a shared count becomes one per row
     lengths, n_signal = (np.zeros(len(lams), dtype=int) + v
                          for v in (lengths, n_signal))
-    width, modes = lams.shape[1], np.arange(lams.shape[1])
-    shortest = lengths.min()
-    runs = ([(0, len(lams), shortest)] if shortest == lengths.max()
-            else _runs(lengths))
-    padding = None if shortest == width else modes >= lengths[:, None]
+    width, runs = lams.shape[1], _runs(lengths)
+    modes = np.arange(width)
+    padding = None if lengths.min() == width else modes >= lengths[:, None]
     split = alloc if isinstance(alloc, str) else "given"
     mu = powered = None
     if split == "given":
